@@ -25,13 +25,18 @@ from .experiments import (
     run_single,
     run_sobol,
     run_sweep,
+    seed_streams,
 )
 from .landscape import LandscapeGrid, generate_capitals
 from .metrics import RunSummary
 
 
 def _default_threads() -> int:
-    return int(os.environ.get("ABLUM_THREADS", "1"))
+    raw = os.environ.get("ABLUM_THREADS", "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigurationError(f"ABLUM_THREADS must be an integer, got {raw!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -43,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--threads",
         type=int,
-        default=_default_threads(),
+        default=None,
         help="worker pool size (default: ABLUM_THREADS or 1)",
     )
 
@@ -162,8 +167,7 @@ def _cmd_sobol(args) -> int:
 
 def _cmd_landscape(args) -> int:
     config = _load(args)
-    master = np.random.SeedSequence((config.seed, 0, 0))
-    s_capital = master.spawn(1)[0]
+    s_capital = seed_streams((config.seed, 0, 0)).capital
     c_prod, c_nat = generate_capitals(
         config.grid_width, config.grid_height, config.peaks, config.noise_amp, s_capital
     )
@@ -216,6 +220,8 @@ def cli_entry(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.threads is None:
+            args.threads = _default_threads()
         return _COMMANDS[args.command](args)
     except (ConfigurationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,6 +22,8 @@ from .dynamics import (
     AttitudeSchedule,
     DemandState,
     SimulationState,
+    StopRule,
+    run_lockstep,
     run_schedule,
     run_until_stable,
 )
@@ -33,7 +37,7 @@ from .metrics import (
     share_trajectory_summary,
     total_supply,
 )
-from .network import add_teleconnections, build_lattice
+from .network import SocialNetwork, add_teleconnections, build_lattice
 from .sensitivity import (
     ParameterSpace,
     SaltelliDesign,
@@ -45,6 +49,30 @@ from .sensitivity import (
 )
 
 OUTPUT_METRICS = ("share_c", "share_mi", "share_hi", "s_mat", "s_nm")
+
+# Cells per lockstep batch of a campaign. A 101x101 run (10,201 cells) always
+# runs alone; 25x25 runs (625 cells) go 19 at a time. Larger batches add
+# memory (each run keeps its own network) faster than they save time.
+CELL_BUDGET = 12_288
+
+
+class SeedStreams(NamedTuple):
+    """A run's independent seed streams, in the order they are spawned from
+    its master seed. Campaign run (point, rep) of config seed s has master
+    key (s, point, rep); a single run is point 0."""
+
+    capital: np.random.SeedSequence
+    init: np.random.SeedSequence
+    net: np.random.SeedSequence
+    profiles: np.random.SeedSequence
+    sim: np.random.SeedSequence
+
+
+def seed_streams(master: np.random.SeedSequence | tuple[int, ...]) -> SeedStreams:
+    """Split a master seed, or its key, into the run's streams."""
+    if not isinstance(master, np.random.SeedSequence):
+        master = np.random.SeedSequence(master)
+    return SeedStreams(*master.spawn(len(SeedStreams._fields)))
 
 
 def _build_profiles(config: ExperimentConfig, n: int, seed_seq) -> tuple[BehaviouralProfile, np.ndarray]:
@@ -78,31 +106,39 @@ def _build_profiles(config: ExperimentConfig, n: int, seed_seq) -> tuple[Behavio
     return profile, attitude_offsets
 
 
-def build_state(config: ExperimentConfig, master: np.random.SeedSequence | None = None) -> SimulationState:
-    """Assemble a ready-to-run simulation; the master seed splits into
-    independent streams for capitals, initial land use, network, profiles,
-    and the per-tick cell selection."""
-    if master is None:
-        master = np.random.SeedSequence((config.seed, 0))
-    s_capital, s_init, s_net, s_profiles, s_sim = master.spawn(5)
+def build_state(
+    config: ExperimentConfig,
+    master: np.random.SeedSequence | tuple[int, ...] | None = None,
+    lattices: dict[tuple[int, int, int], SocialNetwork] | None = None,
+) -> SimulationState:
+    """Assemble a ready-to-run simulation; the master seed (or its key)
+    splits into the streams of SeedStreams.
+
+    ``lattices`` maps (width, height, radius) to a built lattice; the runs
+    of one batch share it, and a missing lattice is built and added.
+    """
+    streams = seed_streams(master if master is not None else (config.seed, 0))
 
     c_prod, c_nat = generate_capitals(
-        config.grid_width, config.grid_height, config.peaks, config.noise_amp, s_capital
+        config.grid_width, config.grid_height, config.peaks, config.noise_amp, streams.capital
     )
     n = config.grid_width * config.grid_height
-    aft_id = init_land_use(n, config.shares, s_init)
-    profiles, attitude_offsets = _build_profiles(config, n, s_profiles)
+    aft_id = init_land_use(n, config.shares, streams.init)
+    profiles, attitude_offsets = _build_profiles(config, n, streams.profiles)
     grid = LandscapeGrid(
         config.grid_width, config.grid_height, c_prod, c_nat, aft_id, profiles=profiles
     )
-    net = build_lattice(config.grid_width, config.grid_height, config.moore_radius)
-    net = add_teleconnections(net, config.n_tele, s_net)
+    shape = (config.grid_width, config.grid_height, config.moore_radius)
+    lattices = {} if lattices is None else lattices
+    if shape not in lattices:
+        lattices[shape] = build_lattice(*shape)
+    net = add_teleconnections(lattices[shape], config.n_tele, streams.net)
     return SimulationState(
         grid=grid,
         network=net,
         behaviour_globals=BehaviourGlobals(config.logistic_k),
         demand=DemandState(config.demand_mat, config.demand_nm),
-        rng=np.random.default_rng(s_sim),
+        rng=np.random.default_rng(streams.sim),
         afts=DEFAULT_AFTS,
         economic_baseline=config.economic_baseline,
         attitude_offsets=attitude_offsets,
@@ -124,11 +160,53 @@ class RunResult:
         return f"run_s{self.seed}_r{self.rep}"
 
 
-def _run_with_master(config: ExperimentConfig, master: np.random.SeedSequence) -> tuple[SimulationState, Trajectory]:
-    state = build_state(config, master)
+def _stop_rule(config: ExperimentConfig) -> StopRule | AttitudeSchedule:
     if config.schedule is not None:
-        return run_schedule(state, AttitudeSchedule(config.schedule))
-    return run_until_stable(state, config.max_ticks, config.window, config.epsilon)
+        return AttitudeSchedule(config.schedule)
+    return StopRule(config.max_ticks, config.window, config.epsilon)
+
+
+def _batches(jobs: list) -> list[list]:
+    """Consecutive jobs grouped up to CELL_BUDGET cells; a larger run goes alone."""
+    batches, cells = [], CELL_BUDGET
+    for job in jobs:
+        n = job[0].grid_width * job[0].grid_height
+        if cells + n > CELL_BUDGET:
+            batches.append([])
+            cells = 0
+        batches[-1].append(job)
+        cells += n
+    return batches
+
+
+def _run_batch(args) -> list:
+    """Build and run one batch of (config, seed key) jobs in lockstep, then
+    map each run through ``finish(config, key, state, trajectory)``."""
+    jobs, finish = args
+    lattices: dict = {}
+    states = [build_state(config, key, lattices) for config, key in jobs]
+    del lattices  # runs with teleconnections no longer need theirs
+    trajectories = run_lockstep(states, [_stop_rule(config) for config, _ in jobs])
+    return [finish(c, key, s, t) for (c, key), s, t in zip(jobs, states, trajectories)]
+
+
+def _run_jobs(jobs: list, finish, threads: int) -> list:
+    """Results of every (config, seed key) job, in job order; batches are
+    spread over ``threads`` worker processes."""
+    batches = [(batch, finish) for batch in _batches(jobs)]
+    return [r for results in _parallel_map(_run_batch, batches, threads) for r in results]
+
+
+def _run_result(config, key, state, trajectory) -> RunResult:
+    return RunResult(
+        config=config,
+        seed=config.seed,
+        rep=key[2],
+        state=state,
+        trajectory=trajectory,
+        summary=share_trajectory_summary(trajectory),
+        mesh=mesh_connectivity(state.grid),
+    )
 
 
 def run_single(config: ExperimentConfig, rep: int = 0) -> RunResult:
@@ -137,27 +215,20 @@ def run_single(config: ExperimentConfig, rep: int = 0) -> RunResult:
 
     Seeded as point 0 of a sweep, so a one-point sweep reproduces it exactly.
     """
-    master = np.random.SeedSequence((config.seed, 0, rep))
-    state, trajectory = _run_with_master(config, master)
-    return RunResult(
-        config=config,
-        seed=config.seed,
-        rep=rep,
-        state=state,
-        trajectory=trajectory,
-        summary=share_trajectory_summary(trajectory),
-        mesh=mesh_connectivity(state.grid),
-    )
+    key = (config.seed, 0, rep)
+    state = build_state(config, key)
+    if config.schedule is not None:
+        state, trajectory = run_schedule(state, AttitudeSchedule(config.schedule))
+    else:
+        state, trajectory = run_until_stable(
+            state, config.max_ticks, config.window, config.epsilon
+        )
+    return _run_result(config, key, state, trajectory)
 
 
 def run_replicates(config: ExperimentConfig, threads: int = 1) -> list[RunResult]:
-    jobs = [(config, rep) for rep in range(config.replications)]
-    return _parallel_map(_replicate_job, jobs, threads)
-
-
-def _replicate_job(args) -> RunResult:
-    config, rep = args
-    return run_single(config, rep)
+    jobs = [(config, (config.seed, 0, rep)) for rep in range(config.replications)]
+    return _run_jobs(jobs, _run_result, threads)
 
 
 def run_hysteresis(config: ExperimentConfig, rep: int = 0) -> RunResult:
@@ -178,18 +249,12 @@ def sweep_points(sweep: SweepSpec) -> list[dict[str, float]]:
     ]
 
 
-def _sweep_job(args) -> dict:
-    config, point, point_idx, rep = args
-    cfg = apply_values(config, point)
-    master = np.random.SeedSequence((config.seed, point_idx, rep))
-    state, trajectory = _run_with_master(cfg, master)
+def _sweep_row(names, config, key, state, trajectory) -> dict:
     summary = share_trajectory_summary(trajectory)
-    row = {}
-    for name in point:
-        row[name] = cfg.cm_int if name == CM_ALIAS else getattr(cfg, name)
+    row = {name: config.cm_int if name == CM_ALIAS else getattr(config, name) for name in names}
     row.update(
-        rep=rep,
-        seed=config.seed,
+        rep=key[2],
+        seed=key[0],
         final_share_c=summary.final_share_c,
         final_share_mi=summary.final_share_mi,
         final_share_hi=summary.final_share_hi,
@@ -208,34 +273,26 @@ def run_sweep(
     sweep = sweep if sweep is not None else config.sweep
     if sweep is None:
         raise ConfigurationError("no sweep specified: add a [sweep] section")
-    points = sweep_points(sweep)
+    names = [p.name for p in sweep.params]
     jobs = [
-        (config, point, point_idx, rep)
-        for point_idx, point in enumerate(points)
+        (apply_values(config, point), (config.seed, point_idx, rep))
+        for point_idx, point in enumerate(sweep_points(sweep))
         for rep in range(sweep.replications)
     ]
-    rows = _parallel_map(_sweep_job, jobs, threads)
-    return [p.name for p in sweep.params], rows
+    return names, _run_jobs(jobs, partial(_sweep_row, names), threads)
 
 
-def _design_job(args) -> list[float]:
-    base_config, space, row_values, base_index, replicates = args
-    cfg = map_sample_to_config(row_values, space, base_config)
-    acc = np.zeros(len(OUTPUT_METRICS))
-    for rep in range(replicates):
-        master = np.random.SeedSequence((base_config.seed, base_index, rep))
-        state, trajectory = _run_with_master(cfg, master)
-        summary = share_trajectory_summary(trajectory)
-        acc += np.array(
-            [
-                summary.final_share_c,
-                summary.final_share_mi,
-                summary.final_share_hi,
-                summary.final_s_mat,
-                summary.final_s_nm,
-            ]
-        )
-    return list(acc / replicates)
+def _design_outputs(config, key, state, trajectory) -> np.ndarray:
+    summary = share_trajectory_summary(trajectory)
+    return np.array(
+        [
+            summary.final_share_c,
+            summary.final_share_mi,
+            summary.final_share_hi,
+            summary.final_s_mat,
+            summary.final_s_nm,
+        ]
+    )
 
 
 def evaluate_design(
@@ -249,11 +306,17 @@ def evaluate_design(
     Returns an (n_rows, 5) array with columns OUTPUT_METRICS. Rows derived
     from the same base sample share their replicate seeds.
     """
-    jobs = [
-        (base_config, design.space, list(design.matrix[r]), design.base_index(r), replicates)
-        for r in range(design.n_rows)
-    ]
-    rows = _parallel_map(_design_job, jobs, threads)
+    jobs = []
+    for r in range(design.n_rows):
+        config = map_sample_to_config(list(design.matrix[r]), design.space, base_config)
+        jobs += [(config, (base_config.seed, design.base_index(r), rep)) for rep in range(replicates)]
+    outputs = _run_jobs(jobs, _design_outputs, threads)
+    rows = []
+    for r in range(design.n_rows):
+        acc = np.zeros(len(OUTPUT_METRICS))
+        for rep in range(replicates):
+            acc += outputs[r * replicates + rep]
+        rows.append(list(acc / replicates))
     return np.asarray(rows)
 
 
@@ -301,8 +364,7 @@ def recompute_metrics(
             f"map is {width}x{height} but config grid is "
             f"{config.grid_width}x{config.grid_height}"
         )
-    master = np.random.SeedSequence((config.seed, 0, rep))
-    s_capital = master.spawn(1)[0]
+    s_capital = seed_streams((config.seed, 0, rep)).capital
     c_prod, c_nat = generate_capitals(width, height, config.peaks, config.noise_amp, s_capital)
     grid = LandscapeGrid(width, height, c_prod, c_nat, aft_id)
     return (

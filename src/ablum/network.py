@@ -30,6 +30,11 @@ class SocialNetwork:
     indptr: np.ndarray
     indices: np.ndarray
 
+    def __post_init__(self):
+        # Runs in a campaign batch share one lattice, so its arrays are frozen.
+        self.indptr.flags.writeable = False
+        self.indices.flags.writeable = False
+
     @property
     def num_edges(self) -> int:
         return self.indices.size // 2
@@ -128,9 +133,16 @@ def add_teleconnections(
         new_src[2 * k + 1], new_dst[2 * k + 1] = j, i
         k += 1
 
-    src = np.concatenate([np.repeat(np.arange(n), np.diff(net.indptr)), new_src])
-    dst = np.concatenate([net.indices, new_dst])
-    return _csr_from_pairs(n, src, dst)
+    # Merge the new entries into the already-sorted rows: same CSR as a full
+    # re-sort, since the added pairs are distinct and absent from net.
+    order = np.lexsort((new_dst, new_src))
+    new_src, new_dst = new_src[order], new_dst[order]
+    old_keys = np.repeat(np.arange(n), np.diff(net.indptr)) * n + net.indices
+    at = np.searchsorted(old_keys, new_src * n + new_dst)
+    indices = np.insert(net.indices.astype(np.int64), at, new_dst)
+    indptr = net.indptr.astype(np.int64)
+    indptr[1:] += np.cumsum(np.bincount(new_src, minlength=n))
+    return SocialNetwork(n_cells=n, indptr=indptr, indices=indices)
 
 
 def build_network(width: int, height: int, config: NetworkConfig) -> SocialNetwork:

@@ -129,6 +129,17 @@ class TestRun:
         assert entry("run", "--config", small_cfg, "--reps", "2", "--out", out) == 0
         assert (out / "run_s3_r1").exists()
 
+    def test_non_integer_threads_env_is_an_error(self, small_cfg, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("ABLUM_THREADS", "two")
+        assert entry("run", "--config", small_cfg, "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "ABLUM_THREADS" in err and "'two'" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_threads_flag_overrides_bad_env(self, small_cfg, tmp_path, monkeypatch):
+        monkeypatch.setenv("ABLUM_THREADS", "two")
+        assert entry("run", "--config", small_cfg, "--threads", "1", "--out", tmp_path) == 0
+
 
 class TestSweep:
     def test_needs_sweep_section(self, small_cfg, tmp_path):
@@ -246,6 +257,22 @@ class TestLandscape:
         state = run_single(cfg).state
         first = (out / "capitals.csv").read_text().splitlines()[1]
         assert first == f"0,0,{state.grid.c_prod[0]:.6f},{state.grid.c_nat[0]:.6f}"
+
+    def test_every_capital_matches_run_single(self, tmp_path):
+        # with noise on, both must draw the same capital stream of the run
+        noisy = tmp_path / "noisy.cfg"
+        noisy.write_text(SMALL + "\n[capitals]\nnoise_amp = 0.1\n")
+        out = tmp_path / "out"
+        assert entry("landscape", "--config", noisy, "--seed", "17", "--out", out) == 0
+        from ablum import load_config, run_single
+
+        cfg = load_config(noisy)
+        cfg.seed = 17
+        grid = run_single(cfg).state.grid
+        expected = [
+            f"{i % 9},{i // 9},{grid.c_prod[i]:.6f},{grid.c_nat[i]:.6f}" for i in range(81)
+        ]
+        assert (out / "capitals.csv").read_text().splitlines()[1:] == expected
 
 
 class TestMetrics:

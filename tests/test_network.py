@@ -1,6 +1,8 @@
 """Moore lattice construction, teleconnection augmentation, and the
 neighbour-conformity fraction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,12 +10,14 @@ from hypothesis import strategies as st
 
 from ablum import (
     ConfigurationError,
+    ExperimentConfig,
     NetworkConfig,
     SocialNetwork,
     UndefinedFractionError,
     add_teleconnections,
     build_lattice,
     build_network,
+    build_state,
     neighbour_intensity_fraction,
 )
 from ablum.network import _csr_from_pairs
@@ -75,7 +79,79 @@ class TestBuildLattice:
         assert degrees(net)[centre] == (2 * r + 1) ** 2 - 1
 
 
+def chebyshev_oracle(width, height, radius):
+    """CSR of every ordered pair of distinct cells within Chebyshev distance
+    radius, found by checking all n^2 pairs."""
+    n = width * height
+    indptr, indices = [0], []
+    for i in range(n):
+        for j in range(n):
+            dx, dy = abs(i % width - j % width), abs(i // width - j // width)
+            if i != j and max(dx, dy) <= radius:
+                indices.append(j)
+        indptr.append(len(indices))
+    return np.array(indptr), np.array(indices)
+
+
+class TestLatticeOracle:
+    def test_all_grids_up_to_7x7(self):
+        for w in range(1, 8):
+            for h in range(1, 8):
+                for r in range(1, min(w, h)):
+                    net = build_lattice(w, h, r)
+                    indptr, indices = chebyshev_oracle(w, h, r)
+                    assert np.array_equal(net.indptr, indptr), (w, h, r)
+                    assert np.array_equal(net.indices, indices), (w, h, r)
+
+    def test_batch_shared_lattice_equals_fresh_build(self):
+        cfg = ExperimentConfig(grid_width=9, grid_height=7, moore_radius=2)
+        lattices = {}
+        a = build_state(cfg, (1, 0, 0), lattices)
+        b = build_state(cfg, (1, 1, 0), lattices)
+        assert a.network is b.network is lattices[(9, 7, 2)]
+        fresh = build_lattice(9, 7, 2)
+        assert np.array_equal(a.network.indptr, fresh.indptr)
+        assert np.array_equal(a.network.indices, fresh.indices)
+        tele = dataclasses.replace(cfg, n_tele=6)
+        shared = build_state(tele, (1, 2, 0), lattices).network
+        alone = build_state(tele, (1, 2, 0)).network
+        assert np.array_equal(shared.indptr, alone.indptr)
+        assert np.array_equal(shared.indices, alone.indices)
+
+    def test_csr_arrays_are_read_only(self):
+        net = build_lattice(5, 5, 1)
+        aug = add_teleconnections(net, 4, 0)
+        for arr in (net.indptr, net.indices, aug.indptr, aug.indices):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            net.indices[0] = 0
+
+
 class TestTeleconnections:
+    @given(
+        st.integers(2, 7), st.integers(2, 7), st.integers(1, 3),
+        st.integers(0, 2**31 - 1), st.integers(0, 25),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_merge_equals_full_resort(self, w, h, r, seed, n_tele):
+        # inserting the new entries into the sorted rows gives exactly the
+        # CSR a full re-sort of lattice plus new edges gives
+        r = min(r, min(w, h) - 1)
+        net = build_lattice(w, h, r)
+        n = w * h
+        n_tele = min(n_tele, n * (n - 1) // 2 - net.num_edges)
+        aug = add_teleconnections(net, n_tele, seed)
+        new = sorted(set(map(tuple, aug.edge_pairs())) - set(map(tuple, net.edge_pairs())))
+        assert len(new) == n_tele
+        new_src = [i for i, _ in new] + [j for _, j in new]
+        new_dst = [j for _, j in new] + [i for i, _ in new]
+        src = np.concatenate([np.repeat(np.arange(n), np.diff(net.indptr)), new_src]).astype(np.int64)
+        dst = np.concatenate([net.indices, new_dst]).astype(np.int64)
+        expected = _csr_from_pairs(n, src, dst)
+        assert np.array_equal(aug.indptr, expected.indptr)
+        assert np.array_equal(aug.indices, expected.indices)
+        assert (aug.indptr.dtype, aug.indices.dtype) == (expected.indptr.dtype, expected.indices.dtype)
+
     def test_zero_is_identity(self):
         net = build_lattice(6, 6, 1)
         aug = add_teleconnections(net, 0, 5)
