@@ -27,7 +27,7 @@ from .dynamics import (
     run_schedule,
     run_until_stable,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DegenerateVarianceError
 from .landscape import DEFAULT_AFTS, LandscapeGrid, generate_capitals, init_land_use
 from .metrics import (
     RunSummary,
@@ -332,10 +332,12 @@ def run_sobol(
     space = space if space is not None else default_parameter_space()
     design = saltelli_sample(space, n_base, seed=config.seed, second_order=second_order)
     outputs = evaluate_design(design, config, replicates=replicates, threads=threads)
-    indices = {
-        metric: sobol_indices(design, outputs[:, m], seed=config.seed)
-        for m, metric in enumerate(OUTPUT_METRICS)
-    }
+    indices = {}
+    for m, metric in enumerate(OUTPUT_METRICS):
+        try:
+            indices[metric] = sobol_indices(design, outputs[:, m], seed=config.seed)
+        except DegenerateVarianceError as exc:
+            raise DegenerateVarianceError(f"{metric}: {exc}") from None
     return design, outputs, indices
 
 

@@ -51,11 +51,16 @@ def read_map_csv(path: str | Path) -> tuple[int, int, np.ndarray]:
     if not lines or lines[0].strip() != "x,y,aft_id":
         raise ConfigurationError(f"{path}: expected header 'x,y,aft_id'")
     xs, ys, ids = [], [], []
-    for ln in lines[1:]:
-        px, py, pid = ln.split(",")
-        xs.append(int(px))
-        ys.append(int(py))
-        ids.append(int(pid))
+    for lineno, ln in enumerate(lines[1:], start=2):
+        try:
+            px, py, pid = (int(v) for v in ln.split(","))
+        except ValueError:
+            raise ConfigurationError(
+                f"{path}, line {lineno}: expected three integers x,y,aft_id, got {ln!r}"
+            ) from None
+        xs.append(px)
+        ys.append(py)
+        ids.append(pid)
     width, height = max(xs) + 1, max(ys) + 1
     if len(ids) != width * height:
         raise ConfigurationError(f"{path}: expected {width * height} rows, got {len(ids)}")

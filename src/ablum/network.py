@@ -16,13 +16,6 @@ from .errors import ConfigurationError, UndefinedFractionError
 
 
 @dataclass(frozen=True)
-class NetworkConfig:
-    moore_radius: int = 1
-    n_teleconnections: int = 0
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class SocialNetwork:
     """Undirected graph in CSR form; neighbour lists are sorted."""
 
@@ -39,9 +32,6 @@ class SocialNetwork:
     def num_edges(self) -> int:
         return self.indices.size // 2
 
-    def degree(self, i: int) -> int:
-        return int(self.indptr[i + 1] - self.indptr[i])
-
     def neighbours(self, i: int) -> np.ndarray:
         return self.indices[self.indptr[i] : self.indptr[i + 1]]
 
@@ -57,16 +47,6 @@ class SocialNetwork:
         return np.column_stack([src[keep], self.indices[keep]])
 
 
-def _csr_from_pairs(n_cells: int, src: np.ndarray, dst: np.ndarray) -> SocialNetwork:
-    # src/dst hold both directions of every edge
-    order = np.lexsort((dst, src))
-    indices = dst[order].astype(np.int64)
-    counts = np.bincount(src, minlength=n_cells)
-    indptr = np.zeros(n_cells + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return SocialNetwork(n_cells=n_cells, indptr=indptr, indices=indices)
-
-
 def build_lattice(width: int, height: int, moore_radius: int) -> SocialNetwork:
     """Moore lattice of the given Chebyshev radius with hard boundaries."""
     if width < 1 or height < 1:
@@ -78,22 +58,21 @@ def build_lattice(width: int, height: int, moore_radius: int) -> SocialNetwork:
             f"moore_radius {moore_radius} must be smaller than min(width, height)"
         )
 
-    r = moore_radius
-    src_parts, dst_parts = [], []
-    for dy in range(-r, r + 1):
-        for dx in range(-r, r + 1):
-            if dx == 0 and dy == 0:
-                continue
-            x0, x1 = max(0, -dx), min(width, width - dx)
-            y0, y1 = max(0, -dy), min(height, height - dy)
-            if x0 >= x1 or y0 >= y1:
-                continue
-            gx, gy = np.meshgrid(np.arange(x0, x1), np.arange(y0, y1))
-            src_parts.append((gy * width + gx).ravel())
-            dst_parts.append(((gy + dy) * width + (gx + dx)).ravel())
-    src = np.concatenate(src_parts)
-    dst = np.concatenate(dst_parts)
-    return _csr_from_pairs(width * height, src, dst)
+    # Stencil offsets dy outer, dx inner: since |dx| < width, cell + offset
+    # ascends with them, so every row comes out sorted.
+    n = width * height
+    d = np.arange(-moore_radius, moore_radius + 1)
+    dy, dx = np.repeat(d, d.size), np.tile(d, d.size)
+    off = (dy != 0) | (dx != 0)
+    dy, dx = dy[off], dx[off]
+    # inside[cell, k]: offset k from cell stays on the grid
+    x = np.arange(width)[:, None] + dx
+    y = np.arange(height)[:, None] + dy
+    inside = (((0 <= y) & (y < height))[:, None] & ((0 <= x) & (x < width))).reshape(n, -1)
+    indices = (np.arange(n, dtype=np.int64)[:, None] + (dy * width + dx))[inside]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(inside.sum(axis=1), out=indptr[1:])
+    return SocialNetwork(n_cells=n, indptr=indptr, indices=indices)
 
 
 def add_teleconnections(
@@ -101,13 +80,16 @@ def add_teleconnections(
 ) -> SocialNetwork:
     """Add exactly n_tele new undirected edges between uniform random pairs.
 
-    Pairs are sampled with rejection: self-pairs, existing edges, and pairs
-    already added in this call are redrawn. Deterministic for a given seed.
+    Candidate pairs (i, j) are drawn from a generator private to this call,
+    so ``seed`` is a seed, not a shared Generator. Self-pairs, existing edges
+    and repeats of an earlier candidate are rejected; the first n_tele
+    survivors in draw order are added. Deterministic for a given seed.
     """
     if n_tele < 0:
         raise ConfigurationError("n_tele must be >= 0")
     n = net.n_cells
-    available = n * (n - 1) // 2 - net.num_edges
+    pairs = n * (n - 1) // 2
+    available = pairs - net.num_edges
     if n_tele > available:
         raise ConfigurationError(
             f"n_tele {n_tele} exceeds the {available} available non-adjacent pairs"
@@ -115,39 +97,33 @@ def add_teleconnections(
     if n_tele == 0:
         return net
 
+    # Directed keys row * n + col; ascending because the rows are sorted.
+    old_keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(net.indptr)) * n + net.indices
     rng = np.random.default_rng(seed)
-    added: set[tuple[int, int]] = set()
-    new_src = np.empty(2 * n_tele, dtype=np.int64)
-    new_dst = np.empty(2 * n_tele, dtype=np.int64)
-    k = 0
-    while k < n_tele:
-        i = int(rng.integers(n))
-        j = int(rng.integers(n))
-        if i == j:
-            continue
-        pair = (i, j) if i < j else (j, i)
-        if pair in added or net.has_edge(i, j):
-            continue
-        added.add(pair)
-        new_src[2 * k], new_dst[2 * k] = i, j
-        new_src[2 * k + 1], new_dst[2 * k + 1] = j, i
-        k += 1
+    candidates = first = np.empty(0, dtype=np.int64)
+    while first.size < n_tele:
+        # Draw enough (i, j) candidates that one block usually suffices;
+        # rng.integers(n, size=(m, 2)) continues the stream of m scalar
+        # (i, j) draws, and unused draws change nothing, the generator being
+        # private.
+        m = (n_tele - first.size) * pairs // (available - first.size) * 11 // 10 + 16
+        i, j = rng.integers(n, size=(m, 2)).T
+        keys = (np.minimum(i, j) * n + np.maximum(i, j))[i != j]
+        exists = np.searchsorted(old_keys, keys) < np.searchsorted(old_keys, keys, "right")
+        candidates = np.concatenate([candidates, keys[~exists]])
+        _, first = np.unique(candidates, return_index=True)
+    new = candidates[np.sort(first)[:n_tele]]
 
-    # Merge the new entries into the already-sorted rows: same CSR as a full
-    # re-sort, since the added pairs are distinct and absent from net.
-    order = np.lexsort((new_dst, new_src))
-    new_src, new_dst = new_src[order], new_dst[order]
-    old_keys = np.repeat(np.arange(n), np.diff(net.indptr)) * n + net.indices
-    at = np.searchsorted(old_keys, new_src * n + new_dst)
-    indices = np.insert(net.indices.astype(np.int64), at, new_dst)
+    # Merge both directions of the new edges into the already-sorted rows:
+    # the same CSR as a full re-sort, since the new pairs are distinct and
+    # absent from net.
+    lo, hi = np.divmod(new, n)
+    added = np.sort(np.concatenate([new, hi * n + lo]))
+    src, dst = np.divmod(added, n)
+    indices = np.insert(net.indices, np.searchsorted(old_keys, added), dst)
     indptr = net.indptr.astype(np.int64)
-    indptr[1:] += np.cumsum(np.bincount(new_src, minlength=n))
+    indptr[1:] += np.cumsum(np.bincount(src, minlength=n))
     return SocialNetwork(n_cells=n, indptr=indptr, indices=indices)
-
-
-def build_network(width: int, height: int, config: NetworkConfig) -> SocialNetwork:
-    net = build_lattice(width, height, config.moore_radius)
-    return add_teleconnections(net, config.n_teleconnections, config.seed)
 
 
 def neighbour_intensity_fraction(

@@ -175,21 +175,34 @@ class SobolIndices:
         return out
 
 
-def _index_estimates(f_a, f_b, f_ab, f_ba):
-    variance = np.var(np.concatenate([f_a, f_b]))
-    if variance <= 0 or not math.isfinite(variance):
-        raise DegenerateVarianceError("outputs have no variance; indices are undefined")
-    d = f_ab.shape[1]
-    s1 = np.array([np.mean(f_b * (f_ab[:, i] - f_a)) for i in range(d)]) / variance
-    st = np.array([0.5 * np.mean((f_a - f_ab[:, i]) ** 2) for i in range(d)]) / variance
+def _by_dim(f: np.ndarray, resamples: np.ndarray) -> np.ndarray:
+    """An (n, d) block resampled into a C-contiguous (R, d, n) array."""
+    return np.ascontiguousarray(f[resamples].transpose(0, 2, 1))
+
+
+def _index_estimates(f_a, f_b, f_ab, f_ba, resamples: np.ndarray):
+    """Estimates for each row of ``resamples``, an (R, n) array of base-sample
+    indices: variance (R,), S1 and ST (R, d), and S2 (R, d(d-1)/2) for the
+    pairs i < j in np.triu_indices order, or None. A resample whose outputs
+    have no variance gets NaN for the variance and every index.
+
+    Every mean and variance reduces over the last, contiguous axis, so each
+    row matches the 1-D np.mean/np.var of that resample bit for bit.
+    """
+    a, b = f_a[resamples][:, None], f_b[resamples][:, None]
+    ab = _by_dim(f_ab, resamples)
+    variance = np.var(np.concatenate([a, b], axis=-1), axis=-1)
+    variance[~(np.isfinite(variance) & (variance > 0))] = np.nan
+    s1 = np.mean(b * (ab - a), axis=-1) / variance
+    st = 0.5 * np.mean((a - ab) ** 2, axis=-1) / variance
     s2 = None
     if f_ba is not None:
-        s2 = np.full((d, d), np.nan)
-        for i in range(d):
-            for j in range(i + 1, d):
-                v_ij = np.mean(f_ba[:, i] * f_ab[:, j] - f_a * f_b) / variance
-                s2[i, j] = v_ij - s1[i] - s1[j]
-    return s1, st, s2
+        # pairs (i, j > i) one i at a time, in np.triu_indices order
+        ba, a_b, d = _by_dim(f_ba, resamples), a * b, f_ab.shape[1]
+        v = [np.mean(ba[:, i, None] * ab[:, i + 1 :] - a_b, axis=-1) for i in range(d)]
+        iu, ju = np.triu_indices(d, k=1)
+        s2 = np.concatenate(v, axis=1) / variance - s1[:, iu] - s1[:, ju]
+    return variance[:, 0], s1, st, s2
 
 
 def sobol_indices(
@@ -201,47 +214,38 @@ def sobol_indices(
     """Sobol indices for one output vector evaluated on the design's rows.
 
     Confidence half-widths are 1.96 times the bootstrap standard deviation
-    over resampled base indices.
+    over resampled base indices; a resample whose outputs have no variance
+    contributes NaN, which the deviation skips.
     """
     outputs = np.asarray(outputs, dtype=np.float64)
     centred = outputs - outputs.mean()
-    f_a, f_b, f_ab, f_ba = design.blocks(centred)
-    s1, st, s2 = _index_estimates(f_a, f_b, f_ab, f_ba)
-
+    blocks = design.blocks(centred)
     d = design.space.d
     n = design.n_base
+    variance, s1, st, s2 = _index_estimates(*blocks, np.arange(n)[None])
+    if np.isnan(variance[0]):
+        raise DegenerateVarianceError("outputs have no variance; indices are undefined")
+
     rng = np.random.default_rng(seed)
-    boot_s1 = np.empty((n_boot, d))
-    boot_st = np.empty((n_boot, d))
-    boot_s2 = np.empty((n_boot, d, d)) if s2 is not None else None
-    for b in range(n_boot):
-        r = rng.integers(0, n, n)
-        try:
-            bs1, bst, bs2 = _index_estimates(
-                f_a[r], f_b[r], f_ab[r], None if f_ba is None else f_ba[r]
-            )
-        except DegenerateVarianceError:
-            bs1 = np.full(d, np.nan)
-            bst = np.full(d, np.nan)
-            bs2 = np.full((d, d), np.nan) if s2 is not None else None
-        boot_s1[b] = bs1
-        boot_st[b] = bst
-        if boot_s2 is not None:
-            boot_s2[b] = bs2
+    _, boot_s1, boot_st, boot_s2 = _index_estimates(*blocks, rng.integers(0, n, (n_boot, n)))
     z = 1.96
-    s2_conf = None
-    if boot_s2 is not None:
+    s2_full = s2_conf = None
+    if s2 is not None:
         # only the upper triangle is estimated; keep the rest NaN
-        s2_conf = np.full((d, d), np.nan)
         iu = np.triu_indices(d, k=1)
-        s2_conf[iu] = z * np.nanstd(boot_s2[:, iu[0], iu[1]], axis=0)
+        s2_full = np.full((d, d), np.nan)
+        s2_full[iu] = s2[0]
+        s2_conf = np.full((d, d), np.nan)
+        # Keep resamples contiguous (Fortran order): the layout sets the
+        # order of nanstd's sums, and so the last bits of the half-widths.
+        s2_conf[iu] = z * np.nanstd(np.asfortranarray(boot_s2), axis=0)
     return SobolIndices(
         names=design.space.names,
-        s1=s1,
+        s1=s1[0],
         s1_conf=z * np.nanstd(boot_s1, axis=0),
-        st=st,
+        st=st[0],
         st_conf=z * np.nanstd(boot_st, axis=0),
-        s2=s2,
+        s2=s2_full,
         s2_conf=s2_conf,
     )
 

@@ -305,6 +305,16 @@ class TestMetrics:
     def test_missing_map(self, small_cfg, tmp_path):
         assert entry("metrics", "--config", small_cfg, "--map", tmp_path / "no.csv") == 1
 
+    @pytest.mark.parametrize("bad_row", ["0,1", "0,1,2,3", "0,1,x", "0,1,1.5"])
+    def test_malformed_map_row(self, small_cfg, tmp_path, capsys, bad_row):
+        map_path = tmp_path / "map.csv"
+        map_path.write_text(f"x,y,aft_id\n0,0,1\n{bad_row}\n1,1,0\n")
+        assert entry("metrics", "--config", small_cfg, "--map", map_path) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: {map_path}, line 3: expected three integers x,y,aft_id, got {bad_row!r}\n"
+        )
+
 
 class TestConsoleScript:
     def test_installed_entry_point(self):

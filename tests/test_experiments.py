@@ -10,6 +10,7 @@ import pytest
 from ablum import (
     OUTPUT_METRICS,
     ConfigurationError,
+    DegenerateVarianceError,
     ExperimentConfig,
     ParameterDim,
     ParameterSpace,
@@ -252,6 +253,20 @@ class TestDesignEvaluation:
         assert outputs.shape == (16, 5)
         assert set(indices) == set(OUTPUT_METRICS)
         assert indices["share_c"].names == ("attitude_mean", "norm_weight_w")
+
+    def test_degenerate_metric_named(self, monkeypatch):
+        # every output varies except s_nm, the last metric
+        def outputs(design, base_config, replicates=1, threads=1):
+            out = np.tile(np.arange(design.n_rows, dtype=float)[:, None], (1, 5))
+            out[:, OUTPUT_METRICS.index("s_nm")] = 7.0
+            return out
+
+        monkeypatch.setattr("ablum.experiments.evaluate_design", outputs)
+        with pytest.raises(
+            DegenerateVarianceError,
+            match=r"^s_nm: outputs have no variance; indices are undefined$",
+        ):
+            run_sobol(small_config(), n_base=4, space=self._space())
 
     def test_replicate_averaging(self):
         cfg = small_config(epsilon=1.0)

@@ -5,22 +5,79 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ablum import (
     ConfigurationError,
     ExperimentConfig,
-    NetworkConfig,
     SocialNetwork,
     UndefinedFractionError,
     add_teleconnections,
     build_lattice,
-    build_network,
     build_state,
     neighbour_intensity_fraction,
 )
-from ablum.network import _csr_from_pairs
+
+
+def csr_from_pairs(n_cells: int, src: np.ndarray, dst: np.ndarray) -> SocialNetwork:
+    """CSR by a full sort of (src, dst), which hold both directions of every
+    edge: the reference for the lattice and teleconnection builds."""
+    order = np.lexsort((dst, src))
+    indices = dst[order].astype(np.int64)
+    counts = np.bincount(src, minlength=n_cells)
+    indptr = np.zeros(n_cells + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return SocialNetwork(n_cells=n_cells, indptr=indptr, indices=indices)
+
+
+def lattice_by_offsets(width, height, radius):
+    """Lattice as the pairs of each stencil offset in turn, fully sorted."""
+    src_parts, dst_parts = [], []
+    for dy in range(-radius, radius + 1):
+        for dx in range(-radius, radius + 1):
+            if dx == 0 and dy == 0:
+                continue
+            x0, x1 = max(0, -dx), min(width, width - dx)
+            y0, y1 = max(0, -dy), min(height, height - dy)
+            if x0 >= x1 or y0 >= y1:
+                continue
+            gx, gy = np.meshgrid(np.arange(x0, x1), np.arange(y0, y1))
+            src_parts.append((gy * width + gx).ravel())
+            dst_parts.append(((gy + dy) * width + (gx + dx)).ravel())
+    return csr_from_pairs(width * height, np.concatenate(src_parts), np.concatenate(dst_parts))
+
+
+def teleconnections_by_rejection(net, n_tele, seed):
+    """Scalar rejection sampler: one (i, j) draw at a time, redrawing
+    self-pairs, existing edges and pairs already added."""
+    n = net.n_cells
+    rng = np.random.default_rng(seed)
+    added: set[tuple[int, int]] = set()
+    new_src = np.empty(2 * n_tele, dtype=np.int64)
+    new_dst = np.empty(2 * n_tele, dtype=np.int64)
+    k = 0
+    while k < n_tele:
+        i = int(rng.integers(n))
+        j = int(rng.integers(n))
+        if i == j:
+            continue
+        pair = (i, j) if i < j else (j, i)
+        if pair in added or net.has_edge(i, j):
+            continue
+        added.add(pair)
+        new_src[2 * k], new_dst[2 * k] = i, j
+        new_src[2 * k + 1], new_dst[2 * k + 1] = j, i
+        k += 1
+    src = np.concatenate([np.repeat(np.arange(n), np.diff(net.indptr)), new_src])
+    dst = np.concatenate([net.indices, new_dst])
+    return csr_from_pairs(n, src.astype(np.int64), dst.astype(np.int64))
+
+
+def assert_same_csr(got: SocialNetwork, want: SocialNetwork):
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert (got.indptr.dtype, got.indices.dtype) == (want.indptr.dtype, want.indices.dtype)
 
 
 def degrees(net: SocialNetwork) -> np.ndarray:
@@ -118,6 +175,10 @@ class TestLatticeOracle:
         assert np.array_equal(shared.indptr, alone.indptr)
         assert np.array_equal(shared.indices, alone.indices)
 
+    @pytest.mark.parametrize("radius", [1, 2, 3, 4, 5])
+    def test_full_grid_equals_sorted_pairs(self, radius):
+        assert_same_csr(build_lattice(101, 101, radius), lattice_by_offsets(101, 101, radius))
+
     def test_csr_arrays_are_read_only(self):
         net = build_lattice(5, 5, 1)
         aug = add_teleconnections(net, 4, 0)
@@ -147,10 +208,41 @@ class TestTeleconnections:
         new_dst = [j for _, j in new] + [i for i, _ in new]
         src = np.concatenate([np.repeat(np.arange(n), np.diff(net.indptr)), new_src]).astype(np.int64)
         dst = np.concatenate([net.indices, new_dst]).astype(np.int64)
-        expected = _csr_from_pairs(n, src, dst)
-        assert np.array_equal(aug.indptr, expected.indptr)
-        assert np.array_equal(aug.indices, expected.indices)
-        assert (aug.indptr.dtype, aug.indices.dtype) == (expected.indptr.dtype, expected.indices.dtype)
+        assert_same_csr(aug, csr_from_pairs(n, src, dst))
+
+    @given(
+        st.integers(2, 9), st.integers(2, 9), st.integers(1, 3),
+        st.integers(0, 2**31 - 1), st.floats(0, 1), st.floats(0, 1),
+    )
+    @example(2, 2, 1, 0, 1.0, 0.0)
+    @example(9, 9, 3, 7, 1.0, 0.0)
+    @example(8, 8, 1, 3, 0.01, 0.02)
+    @settings(max_examples=40, deadline=None)
+    def test_equals_scalar_rejection(self, w, h, r, seed, fill, refill):
+        # block draws pick exactly the pairs the one-at-a-time sampler picks,
+        # up to saturation and on an already-augmented network
+        r = min(r, min(w, h) - 1)
+        net = build_lattice(w, h, r)
+        n = w * h
+        free = n * (n - 1) // 2 - net.num_edges
+        n_tele = round(fill * free)
+        once = add_teleconnections(net, n_tele, seed)
+        assert_same_csr(once, teleconnections_by_rejection(net, n_tele, seed))
+        n_more = round(refill * (free - n_tele))
+        twice = add_teleconnections(once, n_more, seed + 1)
+        assert_same_csr(twice, teleconnections_by_rejection(once, n_more, seed + 1))
+
+    @pytest.mark.parametrize("n", [625, 10201])
+    def test_block_draws_continue_scalar_stream(self, n):
+        k = 5000
+        block = np.random.default_rng(n).integers(n, size=k)
+        rng = np.random.default_rng(n)
+        scalar = [int(rng.integers(n)) for _ in range(k)]
+        assert block.tolist() == scalar, (
+            "rng.integers(n, size=k) no longer yields the k values of k scalar "
+            "rng.integers(n) draws with this numpy; add_teleconnections relies on "
+            "it, so its edges (and every run with n_tele > 0) would change"
+        )
 
     def test_zero_is_identity(self):
         net = build_lattice(6, 6, 1)
@@ -209,12 +301,6 @@ class TestTeleconnections:
                 assert j != i and net.has_edge(j, i)
 
 
-class TestBuildNetwork:
-    def test_config_round(self):
-        net = build_network(6, 6, NetworkConfig(moore_radius=1, n_teleconnections=5, seed=2))
-        assert net.num_edges == build_lattice(6, 6, 1).num_edges + 5
-
-
 class TestNeighbourIntensityFraction:
     def lattice_and_intensity(self, neigh_levels):
         # centre of a 3x3, 8 neighbours in index order 0,1,2,3,5,6,7,8
@@ -243,7 +329,7 @@ class TestNeighbourIntensityFraction:
 
     def test_isolated_cell_errors(self):
         empty = np.empty(0, dtype=np.int64)
-        net = _csr_from_pairs(2, empty, empty)
+        net = csr_from_pairs(2, empty, empty)
         with pytest.raises(UndefinedFractionError):
             neighbour_intensity_fraction(net, np.zeros(2), 0, 0.5, "at_or_above")
 

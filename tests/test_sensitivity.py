@@ -5,6 +5,7 @@ component has a closed form; the oracle values below are derived from those
 forms and frozen, so the estimator is checked against an independent route.
 """
 
+import json
 import math
 from dataclasses import replace
 
@@ -17,6 +18,7 @@ from ablum import (
     ExperimentConfig,
     ParameterDim,
     ParameterSpace,
+    SobolIndices,
     default_parameter_space,
     map_sample_to_config,
     round_half_up,
@@ -50,6 +52,68 @@ def ishigami_space():
             ParameterDim("x2", -math.pi, math.pi),
             ParameterDim("x3", -math.pi, math.pi),
         )
+    )
+
+
+def _estimates_1d(f_a, f_b, f_ab, f_ba):
+    variance = np.var(np.concatenate([f_a, f_b]))
+    if variance <= 0 or not math.isfinite(variance):
+        raise DegenerateVarianceError("outputs have no variance; indices are undefined")
+    d = f_ab.shape[1]
+    s1 = np.array([np.mean(f_b * (f_ab[:, i] - f_a)) for i in range(d)]) / variance
+    st = np.array([0.5 * np.mean((f_a - f_ab[:, i]) ** 2) for i in range(d)]) / variance
+    s2 = None
+    if f_ba is not None:
+        s2 = np.full((d, d), np.nan)
+        for i in range(d):
+            for j in range(i + 1, d):
+                v_ij = np.mean(f_ba[:, i] * f_ab[:, j] - f_a * f_b) / variance
+                s2[i, j] = v_ij - s1[i] - s1[j]
+    return s1, st, s2
+
+
+def sobol_by_resample(design, outputs, n_boot=100, seed=0):
+    """Reference estimator: one resample at a time, each index from 1-D
+    np.mean/np.var calls."""
+    outputs = np.asarray(outputs, dtype=np.float64)
+    centred = outputs - outputs.mean()
+    f_a, f_b, f_ab, f_ba = design.blocks(centred)
+    s1, st, s2 = _estimates_1d(f_a, f_b, f_ab, f_ba)
+
+    d = design.space.d
+    n = design.n_base
+    rng = np.random.default_rng(seed)
+    boot_s1 = np.empty((n_boot, d))
+    boot_st = np.empty((n_boot, d))
+    boot_s2 = np.empty((n_boot, d, d)) if s2 is not None else None
+    for b in range(n_boot):
+        r = rng.integers(0, n, n)
+        try:
+            bs1, bst, bs2 = _estimates_1d(
+                f_a[r], f_b[r], f_ab[r], None if f_ba is None else f_ba[r]
+            )
+        except DegenerateVarianceError:
+            bs1 = np.full(d, np.nan)
+            bst = np.full(d, np.nan)
+            bs2 = np.full((d, d), np.nan) if s2 is not None else None
+        boot_s1[b] = bs1
+        boot_st[b] = bst
+        if boot_s2 is not None:
+            boot_s2[b] = bs2
+    z = 1.96
+    s2_conf = None
+    if boot_s2 is not None:
+        s2_conf = np.full((d, d), np.nan)
+        iu = np.triu_indices(d, k=1)
+        s2_conf[iu] = z * np.nanstd(boot_s2[:, iu[0], iu[1]], axis=0)
+    return SobolIndices(
+        names=design.space.names,
+        s1=s1,
+        s1_conf=z * np.nanstd(boot_s1, axis=0),
+        st=st,
+        st_conf=z * np.nanstd(boot_st, axis=0),
+        s2=s2,
+        s2_conf=s2_conf,
     )
 
 
@@ -255,6 +319,39 @@ class TestSobolIndices:
         assert set(out["S1"]) == {"x1", "x2", "x3"}
         assert set(out["S2"]) == {"x1|x2", "x1|x3", "x2|x3"}
         assert set(out["conf"]) == {"S1", "ST", "S2"}
+
+
+class TestBootstrapEqualsPerResample:
+    @staticmethod
+    def assert_same_json(design, outputs, seed):
+        got = json.dumps(sobol_indices(design, outputs, seed=seed).to_dict())
+        assert got == json.dumps(sobol_by_resample(design, outputs, seed=seed).to_dict())
+
+    @pytest.mark.parametrize("second_order", [False, True])
+    @pytest.mark.parametrize("n_base", [1, 2, 8, 64, 1024])
+    def test_ishigami(self, n_base, second_order):
+        design = saltelli_sample(ishigami_space(), n_base, seed=n_base, second_order=second_order)
+        self.assert_same_json(design, ishigami(design.matrix), seed=n_base)
+
+    @pytest.mark.parametrize("second_order", [False, True])
+    def test_default_space(self, second_order):
+        design = saltelli_sample(default_parameter_space(), 8, seed=0, second_order=second_order)
+        x = design.matrix
+        outputs = x[:, 0] * x[:, 5] + np.round(x[:, 7]) + x[:, 8] / 1000
+        self.assert_same_json(design, outputs, seed=0)
+
+    @pytest.mark.parametrize("second_order", [False, True])
+    def test_zero_variance_resamples(self, second_order):
+        # base sample 0 is 0 in every block and sample 1 alternates +-1, so the
+        # mean is exactly 0 and a resample of sample 0 alone has no variance
+        space = ParameterSpace((ParameterDim("x1", 0, 1), ParameterDim("x2", 0, 1)))
+        design = saltelli_sample(space, 2, seed=0, second_order=second_order)
+        outputs = np.zeros(design.n_rows)
+        outputs[1::2] = (-1.0) ** np.arange(design.n_rows // 2)
+        resamples = np.random.default_rng(4).integers(0, 2, (100, 2))
+        assert (resamples == 0).all(axis=1).any()
+        self.assert_same_json(design, outputs, seed=4)
+        assert np.all(np.isfinite(sobol_indices(design, outputs, seed=4).s1_conf))
 
 
 class TestRoundHalfUp:
