@@ -1,5 +1,6 @@
 """End-to-end CLI checks: exit codes, artefact layout, byte determinism."""
 
+import hashlib
 import json
 import subprocess
 
@@ -321,3 +322,76 @@ class TestConsoleScript:
         proc = subprocess.run(["ablum", "--help"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert "run" in proc.stdout and "sobol" in proc.stdout
+
+
+class TestGoldenBytes:
+    """SHA-256 of every artefact each command writes on tiny configs.
+
+    The digests pin today's bytes, so a refactor of the writers or of the
+    run harness that changes any output byte fails here, file by file.
+    """
+
+    SOBOL = (
+        "[grid]\nwidth = 25\nheight = 25\n"
+        "[stopping]\nmax_ticks = 10\nwindow = 5\nepsilon = 1.0\n"
+        "[run]\nseed = 3\n"
+    )
+    CONFIGS = {
+        "run": SMALL,
+        "sweep": SMALL + "\n[sweep]\nparams = moore_radius, 1, 2, 2; n_tele, 0, 10, 2\n",
+        "hysteresis": SMALL + "\n[schedule]\nbreakpoints = 0,-0.5; 10,0.5; 20,-0.5\n",
+        "sobol": SOBOL,
+        "landscape": SMALL + "\n[capitals]\nnoise_amp = 0.1\n",
+    }
+    EXTRA = {"run": ["--reps", "2"], "sobol": ["--n-base", "2"]}
+    DIGESTS = {
+        "run": {
+            "metrics.csv": "570f847385f67e668935a5896cc9b85bb0e7988a68295ba5e59e759d9f77046a",
+            "run_s3_r0/map.csv": "9d901727c35e74443f498f6894488be745083a939813a4cca7ccf05ff5113f07",
+            "run_s3_r0/metrics.csv": "a263e97386c973da12873f891617713f4704975acf8f6b0d6ac573953f2ea595",
+            "run_s3_r0/trajectory.csv": "efda9490aa4a1d4b7076a3e2810773e84684a153dd7644c00a22d1417f9ff329",
+            "run_s3_r1/map.csv": "e11487086cac571a5c695ccfaff15f2ee2bc9bd71100876ad8f6ba866cb99432",
+            "run_s3_r1/metrics.csv": "c0cc9a90d39f0a11a8a4d83eafb97653353e8bf8ddf9dc2f88085f9db7e4c97a",
+            "run_s3_r1/trajectory.csv": "d2c7b21f1d9b311d98c8a8f3c8eaaff30e0a379b70ec5be9529eb4b3db9e66cd",
+        },
+        "sweep": {
+            "sweep.csv": "b66827b38003a2a893282f108370e9a06ec8d84f544c7128e7b499721a60db71",
+        },
+        "hysteresis": {
+            "run_s3_r0/map.csv": "b748b71969705574d6eb90d78bc9d0bd011124522cd21e146569cc2dca093fc7",
+            "run_s3_r0/metrics.csv": "aa309a956f6f59157bb6dbf6b6b2eff8a40605bed754dc692694dc019417bd24",
+            "run_s3_r0/trajectory.csv": "f68588aac3a790bfe8634647a031842ee65e1c935f6a5bb98860805811f9dc83",
+        },
+        "sobol": {
+            "design.csv": "c7a1e16e63d01d5d87f10f8c88aecaec9ea4e2586366db43a689944ee5dc6ba4",
+            "indices.json": "a3e558ffaca4fac0a3eb0799fbb8a80fdbe7d856f4cc4b28a7db37ce090ae03b",
+            "outputs.csv": "edc28aaa183550c914fdc3d482a34c95e4cb8f04bb4ea37cfbee1f0d028c2878",
+        },
+        "landscape": {
+            "capitals.csv": "cd5dbf7ed2a2d73955dd79d027447341b0ab24faf82ce788dc2fc5e1d9dc781a",
+        },
+    }
+    METRICS_STDOUT = "fe02f53cdade50ea249b26f84e33553d37700ce36ced2f608e24dfb18c5fc9b3"
+
+    @staticmethod
+    def _digests(out):
+        return {
+            p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.rglob("*"))
+            if p.is_file()
+        }
+
+    @pytest.mark.parametrize("command", sorted(CONFIGS))
+    def test_artefacts(self, tmp_path, command):
+        cfg = tmp_path / "golden.cfg"
+        cfg.write_text(self.CONFIGS[command])
+        out = tmp_path / "out"
+        assert entry(command, "--config", cfg, "--out", out, *self.EXTRA.get(command, [])) == 0
+        assert self._digests(out) == self.DIGESTS[command]
+
+    def test_metrics_stdout(self, small_cfg, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert entry("run", "--config", small_cfg, "--out", out) == 0
+        assert entry("metrics", "--config", small_cfg, "--map", out / "run_s3_r0" / "map.csv") == 0
+        stdout = capsys.readouterr().out
+        assert hashlib.sha256(stdout.encode()).hexdigest() == self.METRICS_STDOUT
