@@ -11,7 +11,7 @@ import argparse
 from dataclasses import replace
 from pathlib import Path
 
-from ablum import load_config, run_hysteresis
+from ablum import load_config, run_single
 from ablum.fileio import write_trajectory_csv
 
 
@@ -35,8 +35,10 @@ def main() -> None:
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     config.validate()
+    if config.schedule is None:
+        parser.error(f"{args.config} has no [schedule] section")
 
-    result = run_hysteresis(config)
+    result = run_single(config)
     traj = result.trajectory
 
     args.out.mkdir(parents=True, exist_ok=True)

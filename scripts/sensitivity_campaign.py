@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from ablum import ExperimentConfig, load_config, run_sobol
-from ablum.fileio import write_design_csv, write_indices_json
+from ablum.fileio import write_design_csv, write_indices_json, write_outputs_csv
 
 
 def main() -> None:
@@ -41,7 +41,7 @@ def main() -> None:
 
     args.out.mkdir(parents=True, exist_ok=True)
     write_design_csv(args.out / "design.csv", design)
-    np.savetxt(args.out / "outputs.csv", outputs, delimiter=",", fmt="%.9g")
+    write_outputs_csv(args.out / "outputs.csv", outputs)
     write_indices_json(args.out / "indices.json", indices)
 
     print(f"wrote {args.out}/design.csv, outputs.csv, indices.json "

@@ -32,7 +32,6 @@ from .dynamics import (
     AttitudeSchedule,
     DemandState,
     SimulationState,
-    TickReport,
     apply_attitude_schedule,
     run_schedule,
     run_until_stable,
@@ -48,27 +47,21 @@ from .errors import (
     UndefinedFractionError,
 )
 from .fileio import (
-    METRICS_HEADER,
     fmt,
-    metrics_line,
     read_map_csv,
-    trajectory_lines,
     write_capitals_csv,
     write_design_csv,
-    write_edges_csv,
     write_indices_json,
     write_map_csv,
     write_metrics_csv,
+    write_outputs_csv,
     write_sweep_csv,
     write_trajectory_csv,
 )
 from .experiments import (
-    OUTPUT_METRICS,
-    RunResult,
     build_state,
     evaluate_design,
     recompute_metrics,
-    run_hysteresis,
     run_replicates,
     run_single,
     run_sobol,
@@ -83,14 +76,12 @@ from .landscape import (
     AgentFunctionalType,
     Cell,
     LandscapeGrid,
-    build_grid,
     default_peaks,
     generate_capitals,
     init_land_use,
-    production,
 )
 from .metrics import (
-    PatchDecomposition,
+    OUTPUT_METRICS,
     RunSummary,
     Trajectory,
     intensity_shares,
@@ -108,7 +99,6 @@ from .network import (
 from .sensitivity import (
     ParameterDim,
     ParameterSpace,
-    SaltelliDesign,
     SobolIndices,
     default_parameter_space,
     map_sample_to_config,
@@ -118,95 +108,3 @@ from .sensitivity import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "add_teleconnections",
-    "AgentFunctionalType",
-    "apply_attitude_schedule",
-    "apply_values",
-    "attitude_effect",
-    "AttitudeSchedule",
-    "BehaviouralProfile",
-    "BehaviourGlobals",
-    "build_grid",
-    "build_lattice",
-    "build_state",
-    "Cell",
-    "clip_social",
-    "ConfigurationError",
-    "CONSERVATION",
-    "DEFAULT_AFTS",
-    "default_parameter_space",
-    "default_peaks",
-    "DegenerateVarianceError",
-    "DemandState",
-    "evaluate_design",
-    "evaluate_transition",
-    "ExperimentConfig",
-    "fmt",
-    "generate_capitals",
-    "giving_in_threshold",
-    "HIGH_INTENSITY",
-    "influence_score",
-    "init_land_use",
-    "intensity_shares",
-    "InvalidTransitionError",
-    "LandscapeGrid",
-    "load_config",
-    "loads_config",
-    "map_sample_to_config",
-    "MEDIUM_INTENSITY",
-    "mesh_connectivity",
-    "METRICS_HEADER",
-    "metrics_line",
-    "neighbour_intensity_fraction",
-    "OUTPUT_METRICS",
-    "ParameterDim",
-    "ParameterSpace",
-    "patch_decomposition",
-    "PatchDecomposition",
-    "production",
-    "read_map_csv",
-    "recompute_metrics",
-    "round_half_up",
-    "run_hysteresis",
-    "run_replicates",
-    "run_schedule",
-    "run_single",
-    "run_sobol",
-    "run_sweep",
-    "run_until_stable",
-    "RunResult",
-    "RunSummary",
-    "saltelli_sample",
-    "SaltelliDesign",
-    "save_config",
-    "selection_count",
-    "serialize_config",
-    "share_trajectory_summary",
-    "SimulationState",
-    "sobol_indices",
-    "SobolIndices",
-    "SobolSettings",
-    "social_influence",
-    "SocialNetwork",
-    "sweep_points",
-    "SweepParam",
-    "SweepSpec",
-    "tick",
-    "TickReport",
-    "total_supply",
-    "Trajectory",
-    "trajectory_lines",
-    "UndefinedFractionError",
-    "unit_benefit",
-    "utility",
-    "write_capitals_csv",
-    "write_design_csv",
-    "write_edges_csv",
-    "write_indices_json",
-    "write_map_csv",
-    "write_metrics_csv",
-    "write_sweep_csv",
-    "write_trajectory_csv",
-]

@@ -19,7 +19,6 @@ from . import fileio
 from .config import ExperimentConfig, load_config
 from .errors import ConfigurationError
 from .experiments import (
-    OUTPUT_METRICS,
     recompute_metrics,
     run_replicates,
     run_single,
@@ -28,7 +27,6 @@ from .experiments import (
     seed_streams,
 )
 from .landscape import LandscapeGrid, generate_capitals
-from .metrics import RunSummary
 
 
 def _default_threads() -> int:
@@ -92,15 +90,16 @@ def _load(args) -> ExperimentConfig:
     return config
 
 
+def _metrics_row(result) -> tuple:
+    return result.run_id, result.seed, result.summary
+
+
 def _write_run_dir(out: Path, result) -> Path:
     run_dir = out / result.run_id
     run_dir.mkdir(parents=True, exist_ok=True)
     fileio.write_trajectory_csv(run_dir / "trajectory.csv", result.trajectory)
     fileio.write_map_csv(run_dir / "map.csv", result.state.grid)
-    fileio.write_metrics_csv(
-        run_dir / "metrics.csv",
-        [fileio.metrics_line(result.run_id, result.seed, result.summary, result.mesh)],
-    )
+    fileio.write_metrics_csv(run_dir / "metrics.csv", [_metrics_row(result)])
     return run_dir
 
 
@@ -110,10 +109,7 @@ def _cmd_run(args) -> int:
     for result in results:
         _write_run_dir(args.out, result)
     if len(results) > 1:
-        fileio.write_metrics_csv(
-            args.out / "metrics.csv",
-            [fileio.metrics_line(r.run_id, r.seed, r.summary, r.mesh) for r in results],
-        )
+        fileio.write_metrics_csv(args.out / "metrics.csv", map(_metrics_row, results))
     return 0
 
 
@@ -158,9 +154,7 @@ def _cmd_sobol(args) -> int:
     )
     args.out.mkdir(parents=True, exist_ok=True)
     fileio.write_design_csv(args.out / "design.csv", design)
-    out_lines = [",".join(OUTPUT_METRICS)]
-    out_lines += [",".join(fileio.fmt(v) for v in row) for row in outputs]
-    (args.out / "outputs.csv").write_text("\n".join(out_lines) + "\n")
+    fileio.write_outputs_csv(args.out / "outputs.csv", outputs)
     fileio.write_indices_json(args.out / "indices.json", indices)
     return 0
 
@@ -186,20 +180,8 @@ def _cmd_landscape(args) -> int:
 def _cmd_metrics(args) -> int:
     config = _load(args)
     width, height, aft_id = fileio.read_map_csv(args.map)
-    shares, (s_mat, s_nm), mesh = recompute_metrics(
-        config, width, height, aft_id, connectivity=args.connectivity
-    )
-    # Stabilisation tick is not recoverable from a stored map; -1 marks that.
-    summary = RunSummary(
-        final_share_c=shares[0],
-        final_share_mi=shares[1],
-        final_share_hi=shares[2],
-        final_s_mat=s_mat,
-        final_s_nm=s_nm,
-        stabilised_at=-1,
-    )
-    line = fileio.metrics_line(args.map.stem, config.seed, summary, mesh)
-    sys.stdout.write(fileio.METRICS_HEADER + "\n" + line + "\n")
+    summary = recompute_metrics(config, width, height, aft_id, connectivity=args.connectivity)
+    sys.stdout.write(fileio.metrics_csv([(args.map.stem, config.seed, summary)]))
     return 0
 
 

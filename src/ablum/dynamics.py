@@ -413,7 +413,6 @@ def run_lockstep(
     attitude = [float(np.mean(s.grid.profiles.attitude)) for s in states]
     rows: list[list[tuple]] = [[] for _ in states]
     shares: list[tuple[list[float], ...]] = [([], [], []) for _ in states]
-    scheduled: dict[int, list[float]] = {b: [] for b in schedules}
 
     def record(runs: np.ndarray) -> None:
         # The supply recorded after a tick is the next tick's pre-tick supply.
@@ -421,10 +420,11 @@ def run_lockstep(
         fractions = (batch.class_counts[runs, :3] / batch.n_cells[runs, None]).tolist()
         for b, share, supply in zip(runs.tolist(), fractions, batch.supply[runs].tolist()):
             state = states[b]
+            scheduled = ()
             if b in schedules:
                 attitude[b] = float(np.mean(state.grid.profiles.attitude))
-                scheduled[b].append(schedules[b].mean_at(state.tick))
-            rows[b].append((state.tick, *share, *supply, attitude[b]))
+                scheduled = (schedules[b].mean_at(state.tick),)
+            rows[b].append((state.tick, *share, *supply, attitude[b], *scheduled))
             for col, value in zip(shares[b], share):
                 col.append(value)
 
@@ -451,7 +451,7 @@ def run_lockstep(
             batch.refresh_attitude()
         record(batch.live)
         live = [b for b in live if not ended(b)]
-    return [Trajectory.from_rows(rows[b], scheduled=scheduled.get(b)) for b in runs.tolist()]
+    return [Trajectory.from_rows(rows[b]) for b in runs.tolist()]
 
 
 def run_until_stable(

@@ -10,7 +10,7 @@ Sensitivity rows share the seed of their base sample across Saltelli blocks
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import NamedTuple
 
@@ -30,6 +30,7 @@ from .dynamics import (
 from .errors import ConfigurationError, DegenerateVarianceError
 from .landscape import DEFAULT_AFTS, LandscapeGrid, generate_capitals, init_land_use
 from .metrics import (
+    OUTPUT_METRICS,
     RunSummary,
     Trajectory,
     intensity_shares,
@@ -47,8 +48,6 @@ from .sensitivity import (
     saltelli_sample,
     sobol_indices,
 )
-
-OUTPUT_METRICS = ("share_c", "share_mi", "share_hi", "s_mat", "s_nm")
 
 # Cells per lockstep batch of a campaign. A 101x101 run (10,201 cells) always
 # runs alone; 25x25 runs (625 cells) go 19 at a time. Larger batches add
@@ -153,7 +152,6 @@ class RunResult:
     state: SimulationState
     trajectory: Trajectory
     summary: RunSummary
-    mesh: float
 
     @property
     def run_id(self) -> str:
@@ -204,8 +202,7 @@ def _run_result(config, key, state, trajectory) -> RunResult:
         rep=key[2],
         state=state,
         trajectory=trajectory,
-        summary=share_trajectory_summary(trajectory),
-        mesh=mesh_connectivity(state.grid),
+        summary=share_trajectory_summary(trajectory, mesh_connectivity(state.grid)),
     )
 
 
@@ -231,12 +228,6 @@ def run_replicates(config: ExperimentConfig, threads: int = 1) -> list[RunResult
     return _run_jobs(jobs, _run_result, threads)
 
 
-def run_hysteresis(config: ExperimentConfig, rep: int = 0) -> RunResult:
-    if config.schedule is None:
-        raise ConfigurationError("hysteresis runs need a [schedule] section")
-    return run_single(config, rep)
-
-
 def sweep_points(sweep: SweepSpec) -> list[dict[str, float]]:
     """Grid points in row-major order: first parameter outermost."""
     grids = [param.values() for param in sweep.params]
@@ -250,19 +241,9 @@ def sweep_points(sweep: SweepSpec) -> list[dict[str, float]]:
 
 
 def _sweep_row(names, config, key, state, trajectory) -> dict:
-    summary = share_trajectory_summary(trajectory)
+    summary = share_trajectory_summary(trajectory, mesh_connectivity(state.grid))
     row = {name: config.cm_int if name == CM_ALIAS else getattr(config, name) for name in names}
-    row.update(
-        rep=key[2],
-        seed=key[0],
-        final_share_c=summary.final_share_c,
-        final_share_mi=summary.final_share_mi,
-        final_share_hi=summary.final_share_hi,
-        s_mat=summary.final_s_mat,
-        s_nm=summary.final_s_nm,
-        mesh=mesh_connectivity(state.grid),
-        stabilised_at=summary.stabilised_at,
-    )
+    row.update(rep=key[2], seed=key[0], **asdict(summary))
     return row
 
 
@@ -283,16 +264,7 @@ def run_sweep(
 
 
 def _design_outputs(config, key, state, trajectory) -> np.ndarray:
-    summary = share_trajectory_summary(trajectory)
-    return np.array(
-        [
-            summary.final_share_c,
-            summary.final_share_mi,
-            summary.final_share_hi,
-            summary.final_s_mat,
-            summary.final_s_nm,
-        ]
-    )
+    return np.array([getattr(trajectory, m)[-1] for m in OUTPUT_METRICS])
 
 
 def evaluate_design(
@@ -355,8 +327,9 @@ def recompute_metrics(
     aft_id: np.ndarray,
     connectivity: int = 4,
     rep: int = 0,
-) -> tuple[dict[int, float], tuple[float, float], float]:
-    """Shares, supplies, and mesh for a stored land-use map.
+) -> RunSummary:
+    """Shares, supplies, and mesh for a stored land-use map; stabilised_at is
+    -1, since a map does not record when its run settled.
 
     Capitals are regenerated from the config (same stream as the run that
     wrote the map) so supplies are well-defined.
@@ -369,8 +342,9 @@ def recompute_metrics(
     s_capital = seed_streams((config.seed, 0, rep)).capital
     c_prod, c_nat = generate_capitals(width, height, config.peaks, config.noise_amp, s_capital)
     grid = LandscapeGrid(width, height, c_prod, c_nat, aft_id)
-    return (
-        intensity_shares(grid),
-        total_supply(grid),
-        mesh_connectivity(grid, connectivity),
+    return RunSummary(
+        *intensity_shares(grid).values(),
+        *total_supply(grid),
+        mesh=mesh_connectivity(grid, connectivity),
+        stabilised_at=-1,
     )

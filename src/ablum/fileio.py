@@ -7,23 +7,43 @@ produce byte-identical files.
 from __future__ import annotations
 
 import json
+from dataclasses import astuple, fields
 from pathlib import Path
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .landscape import LandscapeGrid
-from .metrics import Trajectory
-from .network import SocialNetwork
+from .metrics import OUTPUT_METRICS, RunSummary, Trajectory, is_integer_column
 from .sensitivity import SaltelliDesign, SobolIndices
 
-METRICS_HEADER = (
-    "run_id,seed,final_share_c,final_share_mi,final_share_hi,s_mat,s_nm,mesh,stabilised_at"
-)
+_MAP_HEADER = "x,y,aft_id"
 
 
 def fmt(x: float) -> str:
     return f"{float(x):.6f}"
+
+
+def _integer(x: int) -> str:
+    return str(int(x))
+
+
+def _writers(cls) -> dict[str, Callable[[object], str]]:
+    """Each field's column name and writer, in field order."""
+    return {f.name: _integer if is_integer_column(f) else fmt for f in fields(cls)}
+
+
+# A run's key columns lead its summary columns in metrics.csv and sweep.csv.
+_SUMMARY = _writers(RunSummary)
+_METRICS = {"run_id": str, "seed": _integer, **_SUMMARY}
+
+
+def _csv_text(writers: dict[str, Callable[[object], str]], rows: Iterable[Sequence]) -> str:
+    """Header of column names, then one line per row of values in column order."""
+    lines = [",".join(writers)]
+    lines += [",".join(w(v) for w, v in zip(writers.values(), row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def write_capitals_csv(path: str | Path, grid: LandscapeGrid) -> None:
@@ -35,7 +55,7 @@ def write_capitals_csv(path: str | Path, grid: LandscapeGrid) -> None:
 
 
 def write_map_csv(path: str | Path, grid: LandscapeGrid) -> None:
-    lines = ["x,y,aft_id"]
+    lines = [_MAP_HEADER]
     for i in range(grid.n_cells):
         x, y = i % grid.width, i // grid.width
         lines.append(f"{x},{y},{int(grid.aft_id[i])}")
@@ -48,15 +68,17 @@ def read_map_csv(path: str | Path) -> tuple[int, int, np.ndarray]:
     if not path.exists():
         raise ConfigurationError(f"map file not found: {path}")
     lines = path.read_text().strip().splitlines()
-    if not lines or lines[0].strip() != "x,y,aft_id":
-        raise ConfigurationError(f"{path}: expected header 'x,y,aft_id'")
+    if not lines or lines[0].strip() != _MAP_HEADER:
+        raise ConfigurationError(f"{path}: expected header {_MAP_HEADER!r}")
+    if len(lines) == 1:
+        raise ConfigurationError(f"{path}: the map has no rows")
     xs, ys, ids = [], [], []
     for lineno, ln in enumerate(lines[1:], start=2):
         try:
             px, py, pid = (int(v) for v in ln.split(","))
         except ValueError:
             raise ConfigurationError(
-                f"{path}, line {lineno}: expected three integers x,y,aft_id, got {ln!r}"
+                f"{path}, line {lineno}: expected three integers {_MAP_HEADER}, got {ln!r}"
             ) from None
         xs.append(px)
         ys.append(py)
@@ -71,94 +93,39 @@ def read_map_csv(path: str | Path) -> tuple[int, int, np.ndarray]:
     return width, height, np.asarray(ids, dtype=np.int64)
 
 
-def trajectory_lines(trajectory: Trajectory) -> list[str]:
-    header = "tick,share_c,share_mi,share_hi,s_mat,s_nm,mean_attitude"
-    scheduled = trajectory.scheduled_attitude
-    if scheduled is not None:
-        header += ",scheduled_attitude"
-    lines = [header]
-    for r in range(trajectory.n_rows):
-        row = [
-            str(int(trajectory.tick[r])),
-            fmt(trajectory.share_c[r]),
-            fmt(trajectory.share_mi[r]),
-            fmt(trajectory.share_hi[r]),
-            fmt(trajectory.s_mat[r]),
-            fmt(trajectory.s_nm[r]),
-            fmt(trajectory.mean_attitude[r]),
-        ]
-        if scheduled is not None:
-            row.append(fmt(scheduled[r]))
-        lines.append(",".join(row))
-    return lines
-
-
 def write_trajectory_csv(path: str | Path, trajectory: Trajectory) -> None:
-    Path(path).write_text("\n".join(trajectory_lines(trajectory)) + "\n")
+    """One line per tick; scheduled_attitude only for a scheduled run."""
+    writers = {
+        name: write
+        for name, write in _writers(Trajectory).items()
+        if getattr(trajectory, name) is not None
+    }
+    columns = [getattr(trajectory, name).tolist() for name in writers]
+    Path(path).write_text(_csv_text(writers, zip(*columns)))
 
 
-def metrics_line(run_id: str, seed: int, summary, mesh: float) -> str:
-    return ",".join(
-        [
-            run_id,
-            str(int(seed)),
-            fmt(summary.final_share_c),
-            fmt(summary.final_share_mi),
-            fmt(summary.final_share_hi),
-            fmt(summary.final_s_mat),
-            fmt(summary.final_s_nm),
-            fmt(mesh),
-            str(int(summary.stabilised_at)),
-        ]
-    )
+def metrics_csv(rows: Iterable[tuple[str, int, RunSummary]]) -> str:
+    """metrics.csv text: one line per (run_id, seed, summary)."""
+    return _csv_text(_METRICS, ((run_id, seed, *astuple(s)) for run_id, seed, s in rows))
 
 
-def write_metrics_csv(path: str | Path, lines: list[str]) -> None:
-    Path(path).write_text("\n".join([METRICS_HEADER, *lines]) + "\n")
-
-
-def write_edges_csv(path: str | Path, net: SocialNetwork) -> None:
-    lines = ["i,j"]
-    for i, j in net.edge_pairs():
-        lines.append(f"{i},{j}")
-    Path(path).write_text("\n".join(lines) + "\n")
+def write_metrics_csv(path: str | Path, rows: Iterable[tuple[str, int, RunSummary]]) -> None:
+    Path(path).write_text(metrics_csv(rows))
 
 
 def write_sweep_csv(path: str | Path, param_names: list[str], rows: list[dict]) -> None:
-    header = param_names + [
-        "rep",
-        "seed",
-        "final_share_c",
-        "final_share_mi",
-        "final_share_hi",
-        "s_mat",
-        "s_nm",
-        "mesh",
-        "stabilised_at",
-    ]
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [fmt(row[p]) for p in param_names]
-        cells += [
-            str(int(row["rep"])),
-            str(int(row["seed"])),
-            fmt(row["final_share_c"]),
-            fmt(row["final_share_mi"]),
-            fmt(row["final_share_hi"]),
-            fmt(row["s_mat"]),
-            fmt(row["s_nm"]),
-            fmt(row["mesh"]),
-            str(int(row["stabilised_at"])),
-        ]
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """One line per run_sweep row: swept values, rep, seed, then its summary."""
+    writers = {**{p: fmt for p in param_names}, "rep": _integer, "seed": _integer, **_SUMMARY}
+    Path(path).write_text(_csv_text(writers, ([row[c] for c in writers] for row in rows)))
+
+
+def write_outputs_csv(path: str | Path, outputs: np.ndarray) -> None:
+    """One line per design row of evaluate_design's outputs."""
+    Path(path).write_text(_csv_text(dict.fromkeys(OUTPUT_METRICS, fmt), outputs))
 
 
 def write_design_csv(path: str | Path, design: SaltelliDesign) -> None:
-    lines = [",".join(design.space.names)]
-    for row in design.matrix:
-        lines.append(",".join(fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text(_csv_text(dict.fromkeys(design.space.names, fmt), design.matrix))
 
 
 def write_indices_json(path: str | Path, indices_by_metric: dict[str, SobolIndices]) -> None:

@@ -184,29 +184,3 @@ def init_land_use(
         raise ConfigurationError("initial shares must sum to 1")
     rng = np.random.default_rng(seed)
     return rng.choice(n_types, size=n_cells, p=shares / shares.sum()).astype(np.int64)
-
-
-def production(aft: AgentFunctionalType, cell: Cell) -> tuple[float, float]:
-    """Per-cell production of the two services under a given management type.
-
-    Material production scales the productive capital by the type's economic
-    sensitivity; non-material production scales the natural capital likewise.
-    """
-    return aft.s_prod * cell.c_prod, aft.s_nat * cell.c_nat
-
-
-def build_grid(
-    width: int,
-    height: int,
-    peaks: Sequence[tuple[float, float, float]] | None = None,
-    noise_amp: float = 0.0,
-    shares: Sequence[float] = (1 / 3, 1 / 3, 1 / 3),
-    capital_seed: int | np.random.SeedSequence = 0,
-    land_use_seed: int | np.random.SeedSequence = 0,
-) -> LandscapeGrid:
-    """Convenience constructor: capitals plus an initial land-use draw."""
-    if peaks is None:
-        peaks = default_peaks(width, height)
-    c_prod, c_nat = generate_capitals(width, height, peaks, noise_amp, capital_seed)
-    aft_id = init_land_use(width * height, shares, land_use_seed)
-    return LandscapeGrid(width, height, c_prod, c_nat, aft_id)

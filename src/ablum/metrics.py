@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import Field, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -15,11 +15,22 @@ _STRUCTURE_4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 _STRUCTURE_8 = np.ones((3, 3), dtype=bool)
 
 
+def integer_column():
+    """Field of an output column written as an integer; every other column is
+    written with six decimals."""
+    return field(metadata={"integer": True})
+
+
+def is_integer_column(f: Field) -> bool:
+    return f.metadata.get("integer", False)
+
+
 @dataclass
 class Trajectory:
-    """Per-tick record of shares, supplies, and the mean attitude."""
+    """Per-tick record of shares, supplies, and the mean attitude; the fields
+    are trajectory.csv's columns, in order."""
 
-    tick: np.ndarray
+    tick: np.ndarray = integer_column()
     share_c: np.ndarray
     share_mi: np.ndarray
     share_hi: np.ndarray
@@ -33,40 +44,35 @@ class Trajectory:
         return int(self.tick.size)
 
     @classmethod
-    def from_rows(cls, rows: Sequence[tuple], scheduled: Sequence[float] | None = None):
-        if not rows:
-            return cls(*(np.empty(0) for _ in range(7)))
-        cols = list(zip(*rows))
+    def from_rows(cls, rows: Sequence[tuple]) -> Trajectory:
+        """Columns from per-tick rows of field values in order; rows that end
+        before scheduled_attitude give a trajectory without that column."""
+        spec = fields(cls)
+        columns = list(zip(*rows)) or [()] * (len(spec) - 1)
         return cls(
-            tick=np.asarray(cols[0], dtype=np.int64),
-            share_c=np.asarray(cols[1]),
-            share_mi=np.asarray(cols[2]),
-            share_hi=np.asarray(cols[3]),
-            s_mat=np.asarray(cols[4]),
-            s_nm=np.asarray(cols[5]),
-            mean_attitude=np.asarray(cols[6]),
-            scheduled_attitude=None if scheduled is None else np.asarray(scheduled),
+            **{
+                f.name: np.asarray(col, dtype=np.int64 if is_integer_column(f) else float)
+                for f, col in zip(spec, columns)
+            }
         )
+
+
+# The sensitivity outputs: the final values of these trajectory columns.
+OUTPUT_METRICS = ("share_c", "share_mi", "share_hi", "s_mat", "s_nm")
 
 
 @dataclass(frozen=True)
 class RunSummary:
+    """One run's outcome; the fields are its columns in metrics.csv and
+    sweep.csv, in order. The first five are the final OUTPUT_METRICS."""
+
     final_share_c: float
     final_share_mi: float
     final_share_hi: float
-    final_s_mat: float
-    final_s_nm: float
-    stabilised_at: int
-
-
-@dataclass(frozen=True)
-class PatchDecomposition:
-    """Connected-component cell counts per intensity class."""
-
-    areas_by_class: dict[int, tuple[int, ...]]
-
-    def all_areas(self) -> tuple[int, ...]:
-        return tuple(a for areas in self.areas_by_class.values() for a in areas)
+    s_mat: float
+    s_nm: float
+    mesh: float
+    stabilised_at: int = integer_column()
 
 
 def intensity_shares(grid: LandscapeGrid, n_types: int = 3) -> dict[int, float]:
@@ -86,8 +92,8 @@ def total_supply(
 
 def patch_decomposition(
     grid: LandscapeGrid, connectivity: int = 4, n_types: int = 3
-) -> PatchDecomposition:
-    """Decompose each intensity class into connected patches of cells."""
+) -> dict[int, tuple[int, ...]]:
+    """Cell counts of the connected patches of each intensity class."""
     if connectivity not in (4, 8):
         raise ConfigurationError("connectivity must be 4 or 8")
     structure = _STRUCTURE_4 if connectivity == 4 else _STRUCTURE_8
@@ -100,7 +106,7 @@ def patch_decomposition(
             continue
         sizes = np.bincount(labels.ravel())[1:]  # label 0 is background
         areas[c] = tuple(int(s) for s in sizes)
-    return PatchDecomposition(areas)
+    return areas
 
 
 def mesh_connectivity(grid: LandscapeGrid, connectivity: int = 4) -> float:
@@ -108,21 +114,17 @@ def mesh_connectivity(grid: LandscapeGrid, connectivity: int = 4) -> float:
 
     Ranges from 1 (fully fragmented) to n_cells (one uniform patch).
     """
-    decomposition = patch_decomposition(grid, connectivity)
-    total = sum(a * a for a in decomposition.all_areas())
+    areas = patch_decomposition(grid, connectivity).values()
+    total = sum(a * a for class_areas in areas for a in class_areas)
     return float(total) / grid.n_cells
 
 
-def share_trajectory_summary(trajectory: Trajectory) -> RunSummary:
-    """Final shares and supplies plus the tick the run settled on."""
+def share_trajectory_summary(trajectory: Trajectory, mesh: float) -> RunSummary:
+    """Final shares and supplies, the given mesh, and the tick the run settled on."""
     if trajectory.n_rows == 0:
         raise ValueError("trajectory is empty")
-    last = trajectory.n_rows - 1
     return RunSummary(
-        final_share_c=float(trajectory.share_c[last]),
-        final_share_mi=float(trajectory.share_mi[last]),
-        final_share_hi=float(trajectory.share_hi[last]),
-        final_s_mat=float(trajectory.s_mat[last]),
-        final_s_nm=float(trajectory.s_nm[last]),
-        stabilised_at=int(trajectory.tick[last]),
+        *(float(getattr(trajectory, m)[-1]) for m in OUTPUT_METRICS),
+        mesh=mesh,
+        stabilised_at=int(trajectory.tick[-1]),
     )

@@ -46,7 +46,6 @@ from ablum import (
     intensity_shares,
     load_config,
     mesh_connectivity,
-    run_hysteresis,
     run_single,
     run_sweep,
     saltelli_sample,
@@ -329,7 +328,7 @@ class TestCriterion05Hysteresis:
         config = load_config(PRESET_DIR / "attitude_ramp.cfg")
         config = replace(config, share_c=0.05, share_mi=0.05, share_hi=0.90)
         config.validate()
-        result = run_hysteresis(config)
+        result = run_single(config)
         traj = result.trajectory
         initial = np.array([traj.share_c[0], traj.share_mi[0], traj.share_hi[0]])
         final = np.array([traj.share_c[-1], traj.share_mi[-1], traj.share_hi[-1]])
@@ -427,7 +426,7 @@ class TestCriterion08ConnectivityOrdering:
         meshes = [
             run_single(
                 replace(base, git_upper_L=upper, moore_radius=radius, seed=seed)
-            ).mesh
+            ).summary.mesh
             for seed in range(10)
         ]
         return float(np.mean(meshes))

@@ -317,6 +317,13 @@ class TestMetrics:
         )
 
 
+    def test_map_without_rows(self, small_cfg, tmp_path, capsys):
+        map_path = tmp_path / "hdr.csv"
+        map_path.write_text("x,y,aft_id\n")
+        assert entry("metrics", "--config", small_cfg, "--map", map_path) == 1
+        assert capsys.readouterr().err == f"error: {map_path}: the map has no rows\n"
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self):
         proc = subprocess.run(["ablum", "--help"], capture_output=True, text=True)

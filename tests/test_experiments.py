@@ -4,6 +4,8 @@ Most tests use a 9x9 grid with a short stopping window so full runs stay in
 the millisecond range.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,6 @@ from ablum import (
     build_state,
     evaluate_design,
     recompute_metrics,
-    run_hysteresis,
     run_replicates,
     run_single,
     run_sobol,
@@ -83,7 +84,6 @@ class TestRunSingle:
         b = run_single(cfg)
         assert_trajectories_equal(a.trajectory, b.trajectory)
         assert a.summary == b.summary
-        assert a.mesh == b.mesh
         assert np.array_equal(a.state.grid.aft_id, b.state.grid.aft_id)
 
     def test_run_id(self):
@@ -98,7 +98,7 @@ class TestRunSingle:
         res = run_single(small_config())
         t = res.trajectory
         assert res.summary.final_share_c == t.share_c[-1]
-        assert res.summary.final_s_mat == t.s_mat[-1]
+        assert res.summary.s_mat == t.s_mat[-1]
         assert res.summary.stabilised_at == t.tick[-1]
 
 
@@ -158,9 +158,9 @@ class TestSweep:
         assert row["final_share_c"] == single.summary.final_share_c
         assert row["final_share_mi"] == single.summary.final_share_mi
         assert row["final_share_hi"] == single.summary.final_share_hi
-        assert row["s_mat"] == single.summary.final_s_mat
-        assert row["s_nm"] == single.summary.final_s_nm
-        assert row["mesh"] == single.mesh
+        assert row["s_mat"] == single.summary.s_mat
+        assert row["s_nm"] == single.summary.s_nm
+        assert row["mesh"] == single.summary.mesh
         assert row["stabilised_at"] == single.summary.stabilised_at
 
     def test_cm_alias_echoed(self):
@@ -210,12 +210,8 @@ class TestSchedules:
             rev.trajectory.scheduled_attitude, fwd.trajectory.scheduled_attitude[::-1]
         )
 
-    def test_hysteresis_needs_schedule(self):
-        with pytest.raises(ConfigurationError):
-            run_hysteresis(small_config())
-
     def test_hysteresis_runs_full_ramp(self):
-        res = run_hysteresis(small_config(schedule=((0, -0.5), (12, 0.5), (24, -0.5))))
+        res = run_single(small_config(schedule=((0, -0.5), (12, 0.5), (24, -0.5))))
         assert res.trajectory.n_rows == 25
         assert res.trajectory.scheduled_attitude[0] == -0.5
         assert res.trajectory.scheduled_attitude[12] == 0.5
@@ -281,15 +277,8 @@ class TestRecomputeMetrics:
     def test_matches_run_outputs(self):
         cfg = small_config()
         res = run_single(cfg)
-        shares, supplies, mesh = recompute_metrics(
-            cfg, cfg.grid_width, cfg.grid_height, res.state.grid.aft_id
-        )
-        assert shares[0] == res.summary.final_share_c
-        assert shares[1] == res.summary.final_share_mi
-        assert shares[2] == res.summary.final_share_hi
-        assert supplies[0] == res.summary.final_s_mat
-        assert supplies[1] == res.summary.final_s_nm
-        assert mesh == res.mesh
+        summary = recompute_metrics(cfg, cfg.grid_width, cfg.grid_height, res.state.grid.aft_id)
+        assert summary == replace(res.summary, stabilised_at=-1)
 
     def test_dimension_mismatch_rejected(self):
         cfg = small_config()

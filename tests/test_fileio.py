@@ -2,31 +2,29 @@
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from ablum import (
-    METRICS_HEADER,
     ConfigurationError,
     LandscapeGrid,
     ParameterDim,
     ParameterSpace,
     RunSummary,
     Trajectory,
-    build_lattice,
     fmt,
     generate_capitals,
-    metrics_line,
     read_map_csv,
     saltelli_sample,
     sobol_indices,
     write_capitals_csv,
     write_design_csv,
-    write_edges_csv,
     write_indices_json,
     write_map_csv,
     write_metrics_csv,
+    write_outputs_csv,
     write_sweep_csv,
     write_trajectory_csv,
 )
@@ -38,12 +36,14 @@ def small_grid(width=4, height=3, seed=0):
     return LandscapeGrid(width, height, c_prod, c_nat, aft.astype(np.int64))
 
 
-def small_trajectory(scheduled=None):
+def small_trajectory(scheduled=()):
     rows = [
         (0, 0.5, 0.25, 0.25, 10.0, 12.0, 0.1),
         (1, 0.4, 0.35, 0.25, 11.0, 11.5, 0.1),
     ]
-    return Trajectory.from_rows(rows, scheduled=scheduled)
+    if scheduled:
+        rows = [(*row, s) for row, s in zip(rows, scheduled)]
+    return Trajectory.from_rows(rows)
 
 
 class TestFmt:
@@ -135,27 +135,14 @@ class TestTrajectoryCsv:
 
 class TestMetricsCsv:
     def test_line_and_file(self, tmp_path):
-        summary = RunSummary(0.5, 0.3, 0.2, 100.0, 120.5, 42)
-        line = metrics_line("run_s3_r0", 3, summary, 6.25)
-        assert line == "run_s3_r0,3,0.500000,0.300000,0.200000,100.000000,120.500000,6.250000,42"
+        summary = RunSummary(0.5, 0.3, 0.2, 100.0, 120.5, 6.25, 42)
         path = tmp_path / "m.csv"
-        write_metrics_csv(path, [line])
-        text = path.read_text()
-        assert text.startswith(METRICS_HEADER + "\n")
-        assert text.endswith(line + "\n")
-
-
-class TestEdgesCsv:
-    def test_sorted_undirected_pairs(self, tmp_path):
-        net = build_lattice(3, 3, moore_radius=1)
-        path = tmp_path / "e.csv"
-        write_edges_csv(path, net)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "i,j"
-        pairs = [tuple(map(int, ln.split(","))) for ln in lines[1:]]
-        assert all(i < j for i, j in pairs)
-        assert pairs == sorted(pairs)
-        assert len(pairs) == net.num_edges
+        write_metrics_csv(path, [("run_s3_r0", 3, summary), ("run_s3_r1", 3, summary)])
+        assert path.read_text().splitlines() == [
+            "run_id,seed,final_share_c,final_share_mi,final_share_hi,s_mat,s_nm,mesh,stabilised_at",
+            "run_s3_r0,3,0.500000,0.300000,0.200000,100.000000,120.500000,6.250000,42",
+            "run_s3_r1,3,0.500000,0.300000,0.200000,100.000000,120.500000,6.250000,42",
+        ]
 
 
 class TestSweepCsv:
@@ -183,6 +170,25 @@ class TestSweepCsv:
         )
         assert lines[1] == (
             "-0.500000,0,3,0.400000,0.350000,0.250000,3000.000000,3500.000000,12.500000,77"
+        )
+
+    def test_integer_parameter_written_as_real(self, tmp_path):
+        row = {"moore_radius": 3, "rep": 1, "seed": 2, **asdict(RunSummary(1, 0, 0, 5, 6, 7, 8))}
+        path = tmp_path / "s.csv"
+        write_sweep_csv(path, ["moore_radius"], [row])
+        assert path.read_text().splitlines()[1] == (
+            "3.000000,1,2,1.000000,0.000000,0.000000,5.000000,6.000000,7.000000,8"
+        )
+
+
+class TestOutputsCsv:
+    def test_layout(self, tmp_path):
+        path = tmp_path / "o.csv"
+        write_outputs_csv(path, np.array([[0.5, 0.25, 0.25, 3000.0, 1 / 3], [1, 0, 0, 2, 3]]))
+        assert path.read_text() == (
+            "share_c,share_mi,share_hi,s_mat,s_nm\n"
+            "0.500000,0.250000,0.250000,3000.000000,0.333333\n"
+            "1.000000,0.000000,0.000000,2.000000,3.000000\n"
         )
 
 

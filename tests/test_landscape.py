@@ -16,9 +16,9 @@ from ablum import (
     default_peaks,
     generate_capitals,
     init_land_use,
-    production,
+    total_supply,
 )
-from ablum.landscape import Cell, validate_aft_table
+from ablum.landscape import validate_aft_table
 
 
 class TestAftTable:
@@ -134,19 +134,21 @@ class TestInitLandUse:
         )
 
 
-def cell(c_prod, c_nat):
-    return Cell(x=0, y=0, c_prod=c_prod, c_nat=c_nat, aft_id=0, profile=None)
+def production(aft, c_prod, c_nat):
+    """Production of one cell under aft: the service supply of a one-cell landscape."""
+    grid = LandscapeGrid(1, 1, np.array([c_prod]), np.array([c_nat]), np.array([aft.id]))
+    return total_supply(grid)
 
 
 class TestProduction:
     def test_high_intensity_example(self):
-        assert production(HIGH_INTENSITY, cell(0.8, 0.3)) == pytest.approx((0.8, 0.0), abs=1e-9)
+        assert production(HIGH_INTENSITY, 0.8, 0.3) == pytest.approx((0.8, 0.0), abs=1e-9)
 
     def test_conservation_zero_capital(self):
-        assert production(CONSERVATION, cell(0.7, 0.0)) == pytest.approx((0.0, 0.0), abs=1e-9)
+        assert production(CONSERVATION, 0.7, 0.0) == pytest.approx((0.0, 0.0), abs=1e-9)
 
     def test_medium_intensity_example(self):
-        got = production(MEDIUM_INTENSITY, cell(0.6, 0.3))
+        got = production(MEDIUM_INTENSITY, 0.6, 0.3)
         assert got == pytest.approx((0.30, 0.15), abs=1e-9)
 
     @given(
@@ -156,14 +158,14 @@ class TestProduction:
         st.floats(0.0, 1.0),
     )
     def test_linear_in_capitals(self, aft, cp, cn, t):
-        full = production(aft, cell(cp, cn))
-        scaled = production(aft, cell(t * cp, t * cn))
+        full = production(aft, cp, cn)
+        scaled = production(aft, t * cp, t * cn)
         assert scaled[0] == pytest.approx(t * full[0], abs=1e-9)
         assert scaled[1] == pytest.approx(t * full[1], abs=1e-9)
 
     @given(st.sampled_from(DEFAULT_AFTS), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     def test_total_bounded_by_capital(self, aft, cp, cn):
-        p_mat, p_nm = production(aft, cell(cp, cn))
+        p_mat, p_nm = production(aft, cp, cn)
         assert p_mat + p_nm <= max(cp, cn) + 1e-12
 
 

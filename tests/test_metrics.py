@@ -148,7 +148,7 @@ class TestMesh:
         grid = make_grid(ids, 5, 4)
         got = patch_decomposition(grid, connectivity=conn)
         expected = bfs_patch_areas(ids, 5, 4, connectivity=conn)
-        assert {c: sorted(a) for c, a in got.areas_by_class.items() if a} == expected
+        assert {c: sorted(a) for c, a in got.items() if a} == expected
         mesh = mesh_connectivity(grid, connectivity=conn)
         ref = sum(a * a for areas in expected.values() for a in areas) / 20
         assert mesh == pytest.approx(ref, abs=1e-12)
@@ -167,18 +167,18 @@ class TestMesh:
 class TestTrajectorySummary:
     def test_single_row(self):
         t = Trajectory.from_rows([(0, 0.2, 0.3, 0.5, 10.0, 5.0, 0.1)])
-        s = share_trajectory_summary(t)
+        s = share_trajectory_summary(t, 4.5)
         assert (s.final_share_c, s.final_share_mi, s.final_share_hi) == (0.2, 0.3, 0.5)
-        assert s.stabilised_at == 0
+        assert (s.s_mat, s.s_nm, s.mesh, s.stabilised_at) == (10.0, 5.0, 4.5, 0)
 
     def test_last_row_wins(self):
         t = Trajectory.from_rows(
             [(0, 0.2, 0.3, 0.5, 10.0, 5.0, 0.0), (1, 0.25, 0.3, 0.45, 11.0, 6.0, 0.0)]
         )
-        s = share_trajectory_summary(t)
+        s = share_trajectory_summary(t, 1.0)
         assert s.final_share_c == 0.25
         assert s.stabilised_at == 1
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            share_trajectory_summary(Trajectory.from_rows([]))
+            share_trajectory_summary(Trajectory.from_rows([]), 1.0)

@@ -135,6 +135,13 @@ class TestBuildLattice:
         centre = (side // 2) * side + side // 2
         assert degrees(net)[centre] == (2 * r + 1) ** 2 - 1
 
+    def test_edge_pairs_sorted_undirected(self):
+        net = build_lattice(3, 3, moore_radius=1)
+        pairs = [tuple(p) for p in net.edge_pairs().tolist()]
+        assert all(i < j for i, j in pairs)
+        assert pairs == sorted(pairs)
+        assert len(pairs) == net.num_edges
+
 
 def chebyshev_oracle(width, height, radius):
     """CSR of every ordered pair of distinct cells within Chebyshev distance
