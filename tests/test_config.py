@@ -1,5 +1,8 @@
 """Config file grammar, validation messages, and lossless round-trips."""
 
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,8 @@ from ablum import (
     serialize_config,
 )
 
+PRESET_DIR = Path(__file__).resolve().parents[1] / "presets"
+
 MID_INTENSITY_PRESET = """
 [behaviour]
 inertia_lambda = 0
@@ -32,6 +37,61 @@ demand_nm = 3500
 [network]
 moore_radius = 1
 n_tele = 0
+"""
+
+CUSTOMISED = """
+[grid]
+width = 25
+height = 31
+
+[capitals]
+peaks = 10.5,12.25,4.125; 20,20,6
+noise_amp = 0.05
+
+[behaviour]
+attitude_mean = -0.3
+attitude_sigma = 0.2
+norm_weight_w = 0.75
+inertia_lambda = 0.1
+cm_int = 0.35
+cm_ext = 0.65
+git_upper_L = 0.65
+logistic_k = 5
+economic_baseline = true
+
+[demand]
+demand_mat = 3210.5
+demand_nm = 4999
+
+[network]
+moore_radius = 2
+n_tele = 40
+
+[init]
+share_c = 0.2
+share_mi = 0.3
+share_hi = 0.5
+
+[schedule]
+breakpoints = 0,-0.6; 150,0.6; 300,-0.6
+
+[stopping]
+max_ticks = 400
+window = 25
+epsilon = 0.001
+
+[run]
+seed = 11
+replications = 2
+
+[sweep]
+params = attitude_mean, -0.8, 0.8, 7; cm, 0.1, 0.9, 5
+replications = 3
+
+[sobol]
+n_base = 64
+second_order = true
+replicates = 2
 """
 
 
@@ -249,62 +309,7 @@ class TestRoundTrip:
         assert loads_config(serialize_config(cfg)) == cfg
 
     def test_fully_customised_config(self):
-        cfg = loads_config(
-            """
-[grid]
-width = 25
-height = 31
-
-[capitals]
-peaks = 10.5,12.25,4.125; 20,20,6
-noise_amp = 0.05
-
-[behaviour]
-attitude_mean = -0.3
-attitude_sigma = 0.2
-norm_weight_w = 0.75
-inertia_lambda = 0.1
-cm_int = 0.35
-cm_ext = 0.65
-git_upper_L = 0.65
-logistic_k = 5
-economic_baseline = true
-
-[demand]
-demand_mat = 3210.5
-demand_nm = 4999
-
-[network]
-moore_radius = 2
-n_tele = 40
-
-[init]
-share_c = 0.2
-share_mi = 0.3
-share_hi = 0.5
-
-[schedule]
-breakpoints = 0,-0.6; 150,0.6; 300,-0.6
-
-[stopping]
-max_ticks = 400
-window = 25
-epsilon = 0.001
-
-[run]
-seed = 11
-replications = 2
-
-[sweep]
-params = attitude_mean, -0.8, 0.8, 7; cm, 0.1, 0.9, 5
-replications = 3
-
-[sobol]
-n_base = 64
-second_order = true
-replicates = 2
-"""
-        )
+        cfg = loads_config(CUSTOMISED)
         # values that stress float formatting survive exactly
         assert loads_config(serialize_config(cfg)) == cfg
 
@@ -316,3 +321,37 @@ replicates = 2
         cfg = ExperimentConfig(seed=7, attitude_mean=0.1, schedule=((0, -1.0), (10, 1.0)))
         save_config(cfg, tmp_path / "a.cfg")
         assert load_config(tmp_path / "a.cfg") == cfg
+
+
+class TestSerializedBytes:
+    """SHA-256 of serialize_config's text for every preset, the default config
+    and the fully customised one: the serializer's output is pinned byte for
+    byte, including section and key order and float formatting."""
+
+    DIGESTS = {
+        "attitude_ramp": "75ffc27efc4d883c9c27d4671d48649278e5c500f9d74c35f31621ee33d13444",
+        "connectivity": "645d685cfc8fc073b13d60eb18e5ee76742b0de489b7fe3dab7e2c2df513d504",
+        "critical_mass": "75e6e38e9430a94cc993938ce4dd4ff35955ba4b9725918c855ad44026301b60",
+        "initial_shares": "df7fd5ecf4ca18aeeb9e1af9118334d5c963801e1ecbcc6b81cba001ff12f417",
+        "network_maps": "9e64ec0645a1c9eaeb6958b1daa3e14d27f84abbbaed9b1fadc48c35fc960746",
+        "pressure_heatmap": "9d9088c1a06442b46073bbb45d563269dee033c4777a6928216b7912be7de626",
+        "regime_map": "de8268ab25a787a3d09381118b7aa0b3745730d860eae17aaf7f5b4e1e19590d",
+        "default": "02761bb125c26212fcadafe17c6c1d6552616cdf33e765f5e5a2f5cc685dc200",
+        "customised": "0879ff33ea520df57715b7f3ae43443cb9c49f776892bf8fec6e4488dad05a68",
+    }
+
+    @staticmethod
+    def digest(config):
+        return hashlib.sha256(serialize_config(config).encode()).hexdigest()
+
+    def test_presets(self):
+        presets = sorted(PRESET_DIR.glob("*.cfg"))
+        assert [p.stem for p in presets] == sorted(set(self.DIGESTS) - {"default", "customised"})
+        for preset in presets:
+            assert self.digest(load_config(preset)) == self.DIGESTS[preset.stem], preset.name
+
+    def test_default_config(self):
+        assert self.digest(ExperimentConfig()) == self.DIGESTS["default"]
+
+    def test_customised_config(self):
+        assert self.digest(loads_config(CUSTOMISED)) == self.DIGESTS["customised"]
