@@ -25,7 +25,6 @@ from .config import (
     apply_values,
     load_config,
     loads_config,
-    save_config,
     serialize_config,
 )
 from .dynamics import (

@@ -4,35 +4,33 @@ Files are INI-style text. Every key has a default, so a minimal file may set
 nothing but a seed. Lists use semicolon-separated tuples, e.g.
 ``peaks = 30,50,12; 70,50,12`` and ``breakpoints = 0,-0.8; 300,0.8``.
 Unknown sections or keys are rejected by name.
+
+Each key is declared once, on its ``ExperimentConfig`` field (see ``key``);
+the parser, validator, serializer and sweepable set derive from the fields.
+The ``[sweep]`` and ``[sobol]`` sections are the fields of ``SweepSpec`` and
+``SobolSettings``.
 """
 
-from __future__ import annotations
-
 import configparser
-import io
-from dataclasses import dataclass, field, fields, replace
+import math
+from dataclasses import MISSING, Field, astuple, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_args
 
+from .dynamics import AttitudeSchedule
 from .errors import ConfigurationError
 from .landscape import default_peaks
 
-# Config fields that sweeps and sensitivity samples may override.
-NUMERIC_KEYS = (
-    "attitude_mean",
-    "norm_weight_w",
-    "inertia_lambda",
-    "cm_int",
-    "cm_ext",
-    "git_upper_L",
-    "logistic_k",
-    "demand_mat",
-    "demand_nm",
-    "moore_radius",
-    "n_tele",
-)
-INT_KEYS = ("moore_radius", "n_tele")
 # Alias that sets both critical-mass keys at once.
 CM_ALIAS = "cm"
+
+
+def key(default, section: str, range: str | None = None, *, ini: str | None = None, sweep=False):
+    """Field of a config key: its INI section, its INI name where that differs
+    from the field name, its valid range as the error message prints it
+    (``[lo, hi]``, ``> lo`` or ``>= lo``), and whether sweeps and
+    ``apply_values`` may set it."""
+    return field(default=default, metadata={"section": section, "ini": ini, "range": range, "sweep": sweep})
 
 
 @dataclass(frozen=True)
@@ -44,7 +42,12 @@ class SweepParam:
 
     def __post_init__(self):
         if self.name not in NUMERIC_KEYS and self.name != CM_ALIAS:
-            raise ConfigurationError(f"cannot sweep unknown parameter {self.name!r}")
+            raise ConfigurationError(
+                f"cannot sweep unknown parameter {self.name!r}; "
+                f"sweepable: {', '.join(NUMERIC_KEYS + (CM_ALIAS,))}"
+            )
+        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+            raise ConfigurationError(f"sweep {self.name}: bounds must be finite")
         if self.steps < 2:
             raise ConfigurationError("sweep steps must be >= 2")
         if self.lower > self.upper:
@@ -85,112 +88,116 @@ class SobolSettings:
 class ExperimentConfig:
     """All knobs of one experiment; every field has a sensible default."""
 
-    grid_width: int = 101
-    grid_height: int = 101
-    peaks: tuple[tuple[float, float, float], ...] | None = None
-    noise_amp: float = 0.0
+    grid_width: int = key(101, "grid", ">= 3", ini="width")
+    grid_height: int = key(101, "grid", ">= 3", ini="height")
+    peaks: tuple[tuple[float, float, float], ...] | None = key(None, "capitals")
+    noise_amp: float = key(0.0, "capitals", "[0, 0.2]")
 
-    attitude_mean: float = 0.0
-    attitude_sigma: float = 0.15
-    norm_weight_w: float = 0.5
-    norm_weight_sigma: float = 0.0
-    inertia_lambda: float = 0.0
-    inertia_sigma: float = 0.0
-    cm_int: float = 0.5
-    cm_int_sigma: float = 0.0
-    cm_ext: float = 0.5
-    cm_ext_sigma: float = 0.0
-    git_upper_L: float = 1.0
-    git_upper_sigma: float = 0.0
-    logistic_k: float = 10.0
-    economic_baseline: bool = False
+    attitude_mean: float = key(0.0, "behaviour", "[-1, 1]", sweep=True)
+    attitude_sigma: float = key(0.15, "behaviour", ">= 0")
+    norm_weight_w: float = key(0.5, "behaviour", "[0, 1]", sweep=True)
+    norm_weight_sigma: float = key(0.0, "behaviour", ">= 0")
+    inertia_lambda: float = key(0.0, "behaviour", "[0, 1]", sweep=True)
+    inertia_sigma: float = key(0.0, "behaviour", ">= 0")
+    cm_int: float = key(0.5, "behaviour", "[0, 1]", sweep=True)
+    cm_int_sigma: float = key(0.0, "behaviour", ">= 0")
+    cm_ext: float = key(0.5, "behaviour", "[0, 1]", sweep=True)
+    cm_ext_sigma: float = key(0.0, "behaviour", ">= 0")
+    git_upper_L: float = key(1.0, "behaviour", "[0, 1]", sweep=True)
+    git_upper_sigma: float = key(0.0, "behaviour", ">= 0")
+    logistic_k: float = key(10.0, "behaviour", "> 0", sweep=True)
+    economic_baseline: bool = key(False, "behaviour")
 
-    demand_mat: float = 4000.0
-    demand_nm: float = 4000.0
+    demand_mat: float = key(4000.0, "demand", "> 0", sweep=True)
+    demand_nm: float = key(4000.0, "demand", "> 0", sweep=True)
 
-    moore_radius: int = 1
-    n_tele: int = 0
+    moore_radius: int = key(1, "network", ">= 1", sweep=True)
+    n_tele: int = key(0, "network", ">= 0", sweep=True)
 
-    share_c: float = 1 / 3
-    share_mi: float = 1 / 3
-    share_hi: float = 1 / 3
+    share_c: float = key(1 / 3, "init")
+    share_mi: float = key(1 / 3, "init")
+    share_hi: float = key(1 / 3, "init")
 
-    schedule: tuple[tuple[int, float], ...] | None = None
+    schedule: tuple[tuple[int, float], ...] | None = key(None, "schedule", ini="breakpoints")
 
-    max_ticks: int = 2000
-    window: int = 50
-    epsilon: float = 0.002
+    max_ticks: int = key(2000, "stopping")
+    window: int = key(50, "stopping", ">= 1")
+    epsilon: float = key(0.002, "stopping", "> 0")
 
-    seed: int = 0
-    replications: int = 1
+    seed: int = key(0, "run")
+    replications: int = key(1, "run", ">= 1")
 
-    sweep: SweepSpec | None = None
-    sobol: SobolSettings | None = None
+    sweep: SweepSpec | None = key(None, "sweep")
+    sobol: SobolSettings | None = key(None, "sobol")
 
     def __post_init__(self):
-        self.moore_radius = int(self.moore_radius)
-        self.n_tele = int(self.n_tele)
+        for name in INT_KEYS:  # a non-finite value is left for validate() to reject by name
+            value = getattr(self, name)
+            setattr(self, name, int(value) if math.isfinite(value) else value)
         if self.peaks is None:
             self.peaks = default_peaks(self.grid_width, self.grid_height)
         else:
             self.peaks = tuple(tuple(float(v) for v in p) for p in self.peaks)
+        self.validate()
         if self.schedule is not None:
             self.schedule = tuple((int(t), float(m)) for t, m in self.schedule)
-        self.validate()
 
     def validate(self):
-        def check(key, cond, expected):
-            if not cond:
-                raise ConfigurationError(
-                    f"config key {key!r} = {getattr(self, key)!r} is out of range, expected {expected}"
-                )
-
-        check("grid_width", self.grid_width >= 3, ">= 3")
-        check("grid_height", self.grid_height >= 3, ">= 3")
-        check("noise_amp", 0.0 <= self.noise_amp <= 0.2, "[0, 0.2]")
-        for cx, cy, sigma in self.peaks:
-            if sigma <= 0:
+        for name, expected, lo, hi in _NUMBERS:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"config key {name!r} = {value!r} is not a finite number")
+            if not lo <= value <= hi:
+                raise _out_of_range(name, value, expected)
+        if self.moore_radius >= min(self.grid_width, self.grid_height):
+            raise _out_of_range("moore_radius", self.moore_radius, "< min(width, height)")
+        if self.max_ticks < self.window:
+            raise _out_of_range("max_ticks", self.max_ticks, ">= window")
+        for peak in self.peaks:
+            if not all(map(math.isfinite, peak)):
+                raise ConfigurationError("config key 'peaks': values must be finite numbers")
+            if peak[2] <= 0:
                 raise ConfigurationError("config key 'peaks': sigma must be positive")
-        check("attitude_mean", -1.0 <= self.attitude_mean <= 1.0, "[-1, 1]")
-        check("norm_weight_w", 0.0 <= self.norm_weight_w <= 1.0, "[0, 1]")
-        check("inertia_lambda", 0.0 <= self.inertia_lambda <= 1.0, "[0, 1]")
-        check("cm_int", 0.0 <= self.cm_int <= 1.0, "[0, 1]")
-        check("cm_ext", 0.0 <= self.cm_ext <= 1.0, "[0, 1]")
-        check("git_upper_L", 0.0 <= self.git_upper_L <= 1.0, "[0, 1]")
-        check("logistic_k", self.logistic_k > 0, "> 0")
-        for key in (
-            "attitude_sigma",
-            "norm_weight_sigma",
-            "inertia_sigma",
-            "cm_int_sigma",
-            "cm_ext_sigma",
-            "git_upper_sigma",
-        ):
-            check(key, getattr(self, key) >= 0.0, ">= 0")
-        check("demand_mat", self.demand_mat > 0, "> 0")
-        check("demand_nm", self.demand_nm > 0, "> 0")
-        check("moore_radius", self.moore_radius >= 1, ">= 1")
-        check("moore_radius", self.moore_radius < min(self.grid_width, self.grid_height), "< min(width, height)")
-        check("n_tele", self.n_tele >= 0, ">= 0")
-        shares = (self.share_c, self.share_mi, self.share_hi)
-        if any(s < 0 for s in shares):
+        if any(s < 0 for s in self.shares):
             raise ConfigurationError("config keys 'share_*' must be non-negative")
-        if abs(sum(shares) - 1.0) > 1e-9:
+        if abs(sum(self.shares) - 1.0) > 1e-9:
             raise ConfigurationError("config keys 'share_*' must sum to 1")
         if self.schedule is not None:
-            ticks = [t for t, _ in self.schedule]
-            if any(b <= a for a, b in zip(ticks, ticks[1:])) or (ticks and ticks[0] < 0):
-                raise ConfigurationError("config key 'breakpoints': ticks must increase")
-            if any(not -1.0 <= m <= 1.0 for _, m in self.schedule):
-                raise ConfigurationError("config key 'breakpoints': means must lie in [-1, 1]")
-        check("window", self.window >= 1, ">= 1")
-        check("max_ticks", self.max_ticks >= self.window, ">= window")
-        check("epsilon", self.epsilon > 0, "> 0")
-        check("replications", self.replications >= 1, ">= 1")
+            try:
+                AttitudeSchedule(self.schedule)
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"config key 'breakpoints': {exc}") from None
 
     @property
     def shares(self) -> tuple[float, float, float]:
         return (self.share_c, self.share_mi, self.share_hi)
+
+
+def _out_of_range(name: str, value, expected: str) -> ConfigurationError:
+    return ConfigurationError(f"config key {name!r} = {value!r} is out of range, expected {expected}")
+
+
+def _bounds(expected: str | None) -> tuple[float, float]:
+    """Closed bounds of a declared range: ``[lo, hi]``, ``>= lo``, ``> lo``
+    (whose lower bound is the next float above lo) or none."""
+    if expected is None:
+        return -math.inf, math.inf
+    if expected.startswith("["):
+        lo, hi = map(float, expected[1:-1].split(","))
+        return lo, hi
+    op, bound = expected.split()
+    lo = float(bound)
+    return (math.nextafter(lo, math.inf) if op == ">" else lo), math.inf
+
+
+_FIELDS = fields(ExperimentConfig)
+# (name, range, lo, hi) for every numeric key; ranges are parsed once, here.
+_NUMBERS = tuple(
+    (f.name, f.metadata["range"], *_bounds(f.metadata["range"])) for f in _FIELDS if f.type in (int, float)
+)
+# Config fields that sweeps and sensitivity samples may override.
+NUMERIC_KEYS = tuple(f.name for f in _FIELDS if f.metadata["sweep"])
+INT_KEYS = tuple(f.name for f in _FIELDS if f.metadata["sweep"] and f.type is int)
 
 
 def apply_values(config: ExperimentConfig, values: dict[str, float]) -> ExperimentConfig:
@@ -201,7 +208,7 @@ def apply_values(config: ExperimentConfig, values: dict[str, float]) -> Experime
             updates["cm_int"] = float(value)
             updates["cm_ext"] = float(value)
         elif name in INT_KEYS:
-            updates[name] = int(value + 0.5)
+            updates[name] = int(value + 0.5) if math.isfinite(value) else value
         elif name in NUMERIC_KEYS:
             updates[name] = float(value)
         else:
@@ -209,114 +216,79 @@ def apply_values(config: ExperimentConfig, values: dict[str, float]) -> Experime
     return replace(config, **updates)
 
 
-# (section, key) -> config field; parse/format handled by _PARSERS on types.
-_SCHEMA: dict[tuple[str, str], str] = {
-    ("grid", "width"): "grid_width",
-    ("grid", "height"): "grid_height",
-    ("capitals", "peaks"): "peaks",
-    ("capitals", "noise_amp"): "noise_amp",
-    ("behaviour", "attitude_mean"): "attitude_mean",
-    ("behaviour", "attitude_sigma"): "attitude_sigma",
-    ("behaviour", "norm_weight_w"): "norm_weight_w",
-    ("behaviour", "norm_weight_sigma"): "norm_weight_sigma",
-    ("behaviour", "inertia_lambda"): "inertia_lambda",
-    ("behaviour", "inertia_sigma"): "inertia_sigma",
-    ("behaviour", "cm_int"): "cm_int",
-    ("behaviour", "cm_int_sigma"): "cm_int_sigma",
-    ("behaviour", "cm_ext"): "cm_ext",
-    ("behaviour", "cm_ext_sigma"): "cm_ext_sigma",
-    ("behaviour", "git_upper_L"): "git_upper_L",
-    ("behaviour", "git_upper_sigma"): "git_upper_sigma",
-    ("behaviour", "logistic_k"): "logistic_k",
-    ("behaviour", "economic_baseline"): "economic_baseline",
-    ("demand", "demand_mat"): "demand_mat",
-    ("demand", "demand_nm"): "demand_nm",
-    ("network", "moore_radius"): "moore_radius",
-    ("network", "n_tele"): "n_tele",
-    ("init", "share_c"): "share_c",
-    ("init", "share_mi"): "share_mi",
-    ("init", "share_hi"): "share_hi",
-    ("schedule", "breakpoints"): "schedule",
-    ("stopping", "max_ticks"): "max_ticks",
-    ("stopping", "window"): "window",
-    ("stopping", "epsilon"): "epsilon",
-    ("run", "seed"): "seed",
-    ("run", "replications"): "replications",
-}
-
-_INT_FIELDS = {"grid_width", "grid_height", "moore_radius", "n_tele", "max_ticks", "window", "seed", "replications"}
-_BOOL_FIELDS = {"economic_baseline"}
+def _plain(kind):
+    """``kind`` without an ``| None``."""
+    args = get_args(kind)
+    return args[0] if type(None) in args else kind
 
 
-def _parse_bool(text: str, key: str) -> bool:
-    value = text.strip().lower()
-    if value in ("true", "yes", "1", "on"):
-        return True
-    if value in ("false", "no", "0", "off"):
-        return False
-    raise ConfigurationError(f"config key {key!r}: expected a boolean, got {text!r}")
+def _items(kind):
+    """Element types of a record (a fixed tuple or a dataclass); None for a
+    list (``tuple[entry, ...]``)."""
+    if is_dataclass(kind):
+        return [f.type for f in fields(kind)]
+    args = get_args(kind)
+    return None if args[-1] is Ellipsis else args
 
 
-def _parse_tuples(text: str, key: str, arity: int) -> tuple[tuple[float, ...], ...]:
-    groups = [g.strip() for g in text.split(";") if g.strip()]
-    out = []
-    for g in groups:
-        parts = [p.strip() for p in g.split(",")]
-        if len(parts) != arity:
-            raise ConfigurationError(f"config key {key!r}: expected {arity} values per entry")
+def _parse(kind, text: str, key: str):
+    """Read a value of type ``kind``: a scalar, a ``;``-separated list, or a
+    ``,``-separated record."""
+    kind, text = _plain(kind), text.strip()
+    if kind is bool:
+        if text.lower() in ("true", "yes", "1", "on"):
+            return True
+        if text.lower() in ("false", "no", "0", "off"):
+            return False
+        raise ConfigurationError(f"config key {key!r}: expected a boolean, got {text!r}")
+    if kind in (int, float, str):
         try:
-            out.append(tuple(float(p) for p in parts))
+            return kind(text)
         except ValueError as exc:
             raise ConfigurationError(f"config key {key!r}: {exc}") from exc
-    if not out:
-        raise ConfigurationError(f"config key {key!r}: empty list")
-    return tuple(out)
+    items = _items(kind)
+    if items is None:
+        entries = [e for e in text.split(";") if e.strip()]
+        if not entries:
+            raise ConfigurationError(f"config key {key!r}: empty list")
+        return tuple(_parse(get_args(kind)[0], e, key) for e in entries)
+    parts = text.split(",")
+    if len(parts) != len(items):
+        raise ConfigurationError(f"config key {key!r}: expected {len(items)} values per entry")
+    values = [_parse(t, p, key) for t, p in zip(items, parts)]
+    return kind(*values) if is_dataclass(kind) else tuple(values)
 
 
-def _parse_scalar(text: str, field_name: str, key: str):
-    try:
-        if field_name in _INT_FIELDS:
-            return int(text.strip())
-        return float(text.strip())
-    except ValueError as exc:
-        raise ConfigurationError(f"config key {key!r}: {exc}") from exc
+def _format(kind, value) -> str:
+    """Inverse of ``_parse``; floats are written with ``repr`` so they load back exactly."""
+    kind = _plain(kind)
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is float:
+        return repr(float(value))
+    if kind in (int, str):
+        return str(kind(value))
+    items = _items(kind)
+    if items is None:
+        return "; ".join(_format(get_args(kind)[0], v) for v in value)
+    values = astuple(value) if is_dataclass(value) else value
+    return ",".join(_format(t, v) for t, v in zip(items, values))
 
 
-def _parse_sweep(parser: configparser.ConfigParser) -> SweepSpec | None:
-    if not parser.has_section("sweep"):
-        return None
-    known = {"params", "replications"}
-    unknown = set(parser["sweep"]) - known
-    if unknown:
-        raise ConfigurationError(f"unknown config key(s) in [sweep]: {sorted(unknown)}")
-    if "params" not in parser["sweep"]:
-        raise ConfigurationError("config section [sweep] needs a 'params' key")
-    params = []
-    for entry in parser["sweep"]["params"].split(";"):
-        entry = entry.strip()
-        if not entry:
-            continue
-        parts = [p.strip() for p in entry.split(",")]
-        if len(parts) != 4:
-            raise ConfigurationError("config key 'params': entries are name,lower,upper,steps")
-        params.append(SweepParam(parts[0], float(parts[1]), float(parts[2]), int(parts[3])))
-    reps = int(parser["sweep"].get("replications", "1"))
-    return SweepSpec(params=tuple(params), replications=reps)
+def _sections() -> dict[str, tuple[Field | None, dict[str, Field]]]:
+    """INI section -> (the field holding it as a dataclass, or None for
+    top-level keys; {INI key: field}), in declaration order."""
+    out: dict = {}
+    for f in _FIELDS:
+        section, nested = f.metadata["section"], _plain(f.type)
+        if is_dataclass(nested):
+            out[section] = (f, {g.name: g for g in fields(nested)})
+        else:
+            out.setdefault(section, (None, {}))[1][f.metadata["ini"] or f.name] = f
+    return out
 
 
-def _parse_sobol(parser: configparser.ConfigParser) -> SobolSettings | None:
-    if not parser.has_section("sobol"):
-        return None
-    known = {"n_base", "second_order", "replicates"}
-    unknown = set(parser["sobol"]) - known
-    if unknown:
-        raise ConfigurationError(f"unknown config key(s) in [sobol]: {sorted(unknown)}")
-    section = parser["sobol"]
-    return SobolSettings(
-        n_base=int(section.get("n_base", "128")),
-        second_order=_parse_bool(section.get("second_order", "false"), "second_order"),
-        replicates=int(section.get("replicates", "1")),
-    )
+_SECTIONS = _sections()
 
 
 def loads_config(text: str) -> ExperimentConfig:
@@ -327,33 +299,24 @@ def loads_config(text: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigurationError(f"config parse failure: {exc}") from exc
 
-    known_sections = {s for s, _ in _SCHEMA} | {"sweep", "sobol"}
-    for section in parser.sections():
-        if section not in known_sections:
-            raise ConfigurationError(f"unknown config section [{section}]")
-
     values: dict[str, object] = {}
     for section in parser.sections():
-        if section in ("sweep", "sobol"):
-            continue
-        for key in parser[section]:
-            field_name = _SCHEMA.get((section, key))
-            if field_name is None:
+        if section not in _SECTIONS:
+            raise ConfigurationError(f"unknown config section [{section}]")
+        holder, keys = _SECTIONS[section]
+        read = {}
+        for key, raw in parser[section].items():
+            if key not in keys:
                 raise ConfigurationError(f"unknown config key {key!r} in section [{section}]")
-            raw = parser[section][key]
-            if field_name == "peaks":
-                values[field_name] = _parse_tuples(raw, key, 3)
-            elif field_name == "schedule":
-                bps = _parse_tuples(raw, key, 2)
-                values[field_name] = tuple((int(t), m) for t, m in bps)
-            elif field_name in _BOOL_FIELDS:
-                values[field_name] = _parse_bool(raw, key)
-            else:
-                values[field_name] = _parse_scalar(raw, field_name, key)
-
-    sweep = _parse_sweep(parser)
-    sobol = _parse_sobol(parser)
-    return ExperimentConfig(**values, sweep=sweep, sobol=sobol)
+            read[keys[key].name] = _parse(keys[key].type, raw, key)
+        for key, f in keys.items():
+            if f.default is MISSING and f.name not in read:
+                raise ConfigurationError(f"config section [{section}] needs a {key!r} key")
+        if holder is None:
+            values.update(read)
+        else:
+            values[holder.name] = _plain(holder.type)(**read)
+    return ExperimentConfig(**values)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -363,50 +326,16 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return loads_config(path.read_text())
 
 
-def _format_value(config: ExperimentConfig, field_name: str) -> str:
-    value = getattr(config, field_name)
-    if field_name == "peaks":
-        return "; ".join(f"{cx!r},{cy!r},{s!r}" for cx, cy, s in value)
-    if field_name == "schedule":
-        return "; ".join(f"{t},{m!r}" for t, m in value)
-    if field_name in _BOOL_FIELDS:
-        return "true" if value else "false"
-    if field_name in _INT_FIELDS:
-        return str(int(value))
-    return repr(float(value))
-
-
 def serialize_config(config: ExperimentConfig) -> str:
     """Full, deterministic text form; loads back to an equal config."""
-    out = io.StringIO()
-    section_order = []
-    for (section, _key), _field in _SCHEMA.items():
-        if section not in section_order:
-            section_order.append(section)
-    for section in section_order:
-        keys = [(k, f) for (s, k), f in _SCHEMA.items() if s == section]
-        lines = []
-        for key, field_name in keys:
-            if field_name == "schedule" and config.schedule is None:
-                continue
-            lines.append(f"{key} = {_format_value(config, field_name)}")
+    out = []
+    for section, (holder, keys) in _SECTIONS.items():
+        source = config if holder is None else getattr(config, holder.name)
+        lines = [
+            f"{key} = {_format(f.type, getattr(source, f.name))}"
+            for key, f in keys.items()
+            if source is not None and getattr(source, f.name) is not None
+        ]
         if lines:
-            out.write(f"[{section}]\n")
-            out.write("\n".join(lines) + "\n\n")
-    if config.sweep is not None:
-        params = "; ".join(
-            f"{p.name},{p.lower!r},{p.upper!r},{p.steps}" for p in config.sweep.params
-        )
-        out.write("[sweep]\n")
-        out.write(f"params = {params}\n")
-        out.write(f"replications = {config.sweep.replications}\n\n")
-    if config.sobol is not None:
-        out.write("[sobol]\n")
-        out.write(f"n_base = {config.sobol.n_base}\n")
-        out.write(f"second_order = {'true' if config.sobol.second_order else 'false'}\n")
-        out.write(f"replicates = {config.sobol.replicates}\n\n")
-    return out.getvalue()
-
-
-def save_config(config: ExperimentConfig, path: str | Path) -> None:
-    Path(path).write_text(serialize_config(config))
+            out.append(f"[{section}]\n" + "\n".join(lines) + "\n\n")
+    return "".join(out)

@@ -72,6 +72,8 @@ class AttitudeSchedule:
         if not self.breakpoints:
             raise ConfigurationError("schedule needs at least one breakpoint")
         ticks = [t for t, _ in self.breakpoints]
+        if not all(float(t).is_integer() for t in ticks):
+            raise ConfigurationError("schedule ticks must be integers")
         if any(b <= a for a, b in zip(ticks, ticks[1:])):
             raise ConfigurationError("schedule ticks must be strictly increasing")
         if ticks[0] < 0:

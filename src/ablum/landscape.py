@@ -52,16 +52,6 @@ DEFAULT_AFTS: tuple[AgentFunctionalType, ...] = (
 )
 
 
-def validate_aft_table(afts: Sequence[AgentFunctionalType]) -> None:
-    """Check ids are 0..n-1 in order and intensities strictly increase."""
-    for i, aft in enumerate(afts):
-        if aft.id != i:
-            raise ConfigurationError("management type ids must be 0..n-1 in table order")
-    intensities = [a.intensity for a in afts]
-    if any(b <= a for a, b in zip(intensities, intensities[1:])):
-        raise ConfigurationError("management type intensities must be strictly increasing")
-
-
 @dataclass
 class Cell:
     """View of a single cell; handy for inspection and scalar evaluations."""

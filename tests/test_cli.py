@@ -203,6 +203,13 @@ class TestSobol:
     def test_needs_settings(self, tmp_path):
         assert entry("sobol", "--config", self._cfg(tmp_path), "--out", tmp_path / "o") == 1
 
+    def test_unparseable_setting(self, tmp_path, capsys):
+        cfg = self._cfg(tmp_path, "[sobol]\nn_base = lots\n")
+        assert entry("sobol", "--config", cfg, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == (
+            "error: config key 'n_base': invalid literal for int() with base 10: 'lots'\n"
+        )
+
     def test_writes_design_outputs_indices(self, tmp_path):
         out = tmp_path / "out"
         code = entry(

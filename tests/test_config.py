@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ablum import (
+    AttitudeSchedule,
     ConfigurationError,
     ExperimentConfig,
     SobolSettings,
@@ -16,7 +17,6 @@ from ablum import (
     default_peaks,
     load_config,
     loads_config,
-    save_config,
     serialize_config,
 )
 
@@ -159,6 +159,58 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             loads_config("[schedule]\nbreakpoints = 0,1.5\n")
 
+    def test_schedule_messages(self):
+        for text, message in (
+            ("-5,0.2; 20,0.3", "schedule ticks must be non-negative"),
+            ("10,0.2; 10,0.3", "schedule ticks must be strictly increasing"),
+            ("10.7,0.2; 20,0.3", "invalid literal for int() with base 10: '10.7'"),
+        ):
+            with pytest.raises(ConfigurationError) as err:
+                loads_config(f"[schedule]\nbreakpoints = {text}\n")
+            assert str(err.value) == f"config key 'breakpoints': {message}"
+
+    def test_non_integer_ticks_rejected(self):
+        with pytest.raises(ConfigurationError) as err:
+            ExperimentConfig(schedule=((10.7, 0.2), (20, 0.3)))
+        assert str(err.value) == "config key 'breakpoints': schedule ticks must be integers"
+        with pytest.raises(ConfigurationError, match="must be integers"):
+            AttitudeSchedule(((0, 0.0), (10.5, 0.5)))
+        assert ExperimentConfig(schedule=((0, 0.0), (10.0, 0.5))).schedule == ((0, 0.0), (10, 0.5))
+
+    def test_non_finite_values_in_files_rejected(self):
+        for text, message in (
+            ("[demand]\ndemand_mat = inf\n", "config key 'demand_mat' = inf is not a finite number"),
+            ("[init]\nshare_c = nan\n", "config key 'share_c' = nan is not a finite number"),
+            ("[behaviour]\nlogistic_k = inf\n", "config key 'logistic_k' = inf is not a finite number"),
+            ("[capitals]\npeaks = 10,10,inf\n", "config key 'peaks': values must be finite numbers"),
+            ("[capitals]\npeaks = nan,10,3\n", "config key 'peaks': values must be finite numbers"),
+        ):
+            with pytest.raises(ConfigurationError) as err:
+                loads_config(text)
+            assert str(err.value) == message
+
+    def test_non_finite_values_constructed_rejected(self):
+        with pytest.raises(ConfigurationError) as err:
+            ExperimentConfig(share_c=float("nan"))
+        assert str(err.value) == "config key 'share_c' = nan is not a finite number"
+        with pytest.raises(ConfigurationError) as err:
+            ExperimentConfig(peaks=((10.0, 10.0, float("inf")),))
+        assert str(err.value) == "config key 'peaks': values must be finite numbers"
+        with pytest.raises(ConfigurationError) as err:
+            ExperimentConfig(n_tele=float("inf"))
+        assert str(err.value) == "config key 'n_tele' = inf is not a finite number"
+
+    def test_non_finite_values_applied_rejected(self):
+        with pytest.raises(ConfigurationError) as err:
+            apply_values(ExperimentConfig(), {"demand_mat": float("inf")})
+        assert str(err.value) == "config key 'demand_mat' = inf is not a finite number"
+        with pytest.raises(ConfigurationError) as err:
+            apply_values(ExperimentConfig(), {"cm": float("nan")})
+        assert str(err.value) == "config key 'cm_int' = nan is not a finite number"
+        with pytest.raises(ConfigurationError) as err:
+            apply_values(ExperimentConfig(), {"moore_radius": float("nan")})
+        assert str(err.value) == "config key 'moore_radius' = nan is not a finite number"
+
 
 class TestGrammar:
     def test_preset_values_echo(self):
@@ -264,6 +316,29 @@ class TestSweepParsing:
         with pytest.raises(ConfigurationError):
             loads_config("[sweep]\nparams = cm, 0, 1, 3\nextra = 1\n")
 
+    def test_unparseable_values_name_the_key(self):
+        for text, message in (
+            ("params = cm, 0, x, 3", "config key 'params': could not convert string to float: 'x'"),
+            ("params = cm, 0, 1, 2.5", "config key 'params': invalid literal for int() with base 10: '2.5'"),
+            ("params = moore_radius, 1, inf, 3", "sweep moore_radius: bounds must be finite"),
+            (
+                "params = cm, 0, 1, 3\nreplications = two",
+                "config key 'replications': invalid literal for int() with base 10: 'two'",
+            ),
+        ):
+            with pytest.raises(ConfigurationError) as err:
+                loads_config(f"[sweep]\n{text}\n")
+            assert str(err.value) == message
+
+    def test_unknown_parameter_lists_sweepable_keys(self):
+        with pytest.raises(ConfigurationError) as err:
+            SweepParam("phase_of_moon", 0.0, 1.0, 3)
+        assert str(err.value) == (
+            "cannot sweep unknown parameter 'phase_of_moon'; sweepable: attitude_mean, "
+            "norm_weight_w, inertia_lambda, cm_int, cm_ext, git_upper_L, logistic_k, "
+            "demand_mat, demand_nm, moore_radius, n_tele, cm"
+        )
+
 
 class TestSobolParsing:
     def test_defaults(self):
@@ -281,6 +356,16 @@ class TestSobolParsing:
             loads_config("[sobol]\nbootstraps = 10\n")
         with pytest.raises(ConfigurationError):
             SobolSettings(replicates=0)
+
+    def test_unparseable_values_name_the_key(self):
+        for text, message in (
+            ("n_base = lots", "config key 'n_base': invalid literal for int() with base 10: 'lots'"),
+            ("replicates = two", "config key 'replicates': invalid literal for int() with base 10: 'two'"),
+            ("second_order = perhaps", "config key 'second_order': expected a boolean, got 'perhaps'"),
+        ):
+            with pytest.raises(ConfigurationError) as err:
+                loads_config(f"[sobol]\n{text}\n")
+            assert str(err.value) == message
 
 
 class TestApplyValues:
@@ -319,7 +404,7 @@ class TestRoundTrip:
 
     def test_file_round_trip(self, tmp_path):
         cfg = ExperimentConfig(seed=7, attitude_mean=0.1, schedule=((0, -1.0), (10, 1.0)))
-        save_config(cfg, tmp_path / "a.cfg")
+        (tmp_path / "a.cfg").write_text(serialize_config(cfg))
         assert load_config(tmp_path / "a.cfg") == cfg
 
 

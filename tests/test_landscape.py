@@ -10,7 +10,6 @@ from ablum import (
     DEFAULT_AFTS,
     HIGH_INTENSITY,
     MEDIUM_INTENSITY,
-    AgentFunctionalType,
     ConfigurationError,
     LandscapeGrid,
     default_peaks,
@@ -18,7 +17,6 @@ from ablum import (
     init_land_use,
     total_supply,
 )
-from ablum.landscape import validate_aft_table
 
 
 class TestAftTable:
@@ -38,14 +36,6 @@ class TestAftTable:
             1.0,
             0.0,
         )
-
-    def test_unordered_intensities_rejected(self):
-        bad = (
-            AgentFunctionalType(0, "a", 0.5, 0.5, 0.5),
-            AgentFunctionalType(1, "b", 0.5, 0.5, 0.5),
-        )
-        with pytest.raises(ConfigurationError):
-            validate_aft_table(bad)
 
 
 class TestGenerateCapitals:
