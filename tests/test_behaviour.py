@@ -12,6 +12,7 @@ from ablum import (
     DEFAULT_AFTS,
     BehaviourGlobals,
     BehaviouralProfile,
+    ConfigurationError,
     InvalidTransitionError,
     LandscapeGrid,
     attitude_effect,
@@ -33,6 +34,35 @@ def profile(**kw):
     )
     base.update(kw)
     return BehaviouralProfile(**base)
+
+
+_PROFILE_RANGES = {
+    "attitude": (-1.0, 1.0),
+    "inertia_coeff": (0.0, 1.0),
+    "norm_weight": (0.0, 1.0),
+    "cm_int": (0.0, 1.0),
+    "cm_ext": (0.0, 1.0),
+    "git_upper": (0.0, 1.0),
+}
+
+
+class TestProfileRanges:
+    @pytest.mark.parametrize("name", _PROFILE_RANGES)
+    @pytest.mark.parametrize("side", ["below", "above"])
+    @pytest.mark.parametrize("shape", ["scalar", "array"])
+    def test_out_of_range_rejected(self, name, side, shape):
+        lo, hi = _PROFILE_RANGES[name]
+        bad = lo - 0.1 if side == "below" else hi + 0.1
+        value = bad if shape == "scalar" else np.array([0.5 * (lo + hi), bad])
+        with pytest.raises(ConfigurationError) as info:
+            profile(**{name: value})
+        assert str(info.value) == f"{name} must lie in [{lo}, {hi}]"
+
+    @pytest.mark.parametrize("name", _PROFILE_RANGES)
+    def test_bounds_accepted(self, name):
+        lo, hi = _PROFILE_RANGES[name]
+        profile(**{name: lo})
+        profile(**{name: np.array([lo, hi])})
 
 
 class TestAttitudeEffect:
