@@ -71,7 +71,10 @@ from .landscape import (
     CONSERVATION,
     DEFAULT_AFTS,
     HIGH_INTENSITY,
+    INTENSITY,
     MEDIUM_INTENSITY,
+    S_NAT,
+    S_PROD,
     AgentFunctionalType,
     Cell,
     LandscapeGrid,

@@ -12,13 +12,12 @@ simulation engine calls them with per-cell arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import ConfigurationError, InvalidTransitionError
-from .landscape import DEFAULT_AFTS, AgentFunctionalType, LandscapeGrid
+from .landscape import DEFAULT_AFTS, INTENSITY, AgentFunctionalType, LandscapeGrid
 from .network import SocialNetwork, neighbour_intensity_fraction
 
 # Exponent clamp keeps the logistic finite for any influence score.
@@ -28,9 +27,9 @@ INTENSIFY = "at_or_above"
 EXTENSIFY = "at_or_below"
 
 
-def _check_range(name, value, lo, hi):
-    if np.any(np.asarray(value) < lo) or np.any(np.asarray(value) > hi):
-        raise ConfigurationError(f"{name} must lie in [{lo}, {hi}]")
+def _ranged(default: float, lo: float, hi: float):
+    """Profile field whose scalar or every cell value must lie in [lo, hi]."""
+    return field(default=default, metadata={"range": (lo, hi)})
 
 
 @dataclass
@@ -44,20 +43,19 @@ class BehaviouralProfile:
     git_upper: upper bound of the giving-in threshold.
     """
 
-    attitude: float | np.ndarray = 0.0
-    inertia_coeff: float | np.ndarray = 0.0
-    norm_weight: float | np.ndarray = 0.5
-    cm_int: float | np.ndarray = 0.5
-    cm_ext: float | np.ndarray = 0.5
-    git_upper: float | np.ndarray = 1.0
+    attitude: float | np.ndarray = _ranged(0.0, -1.0, 1.0)
+    inertia_coeff: float | np.ndarray = _ranged(0.0, 0.0, 1.0)
+    norm_weight: float | np.ndarray = _ranged(0.5, 0.0, 1.0)
+    cm_int: float | np.ndarray = _ranged(0.5, 0.0, 1.0)
+    cm_ext: float | np.ndarray = _ranged(0.5, 0.0, 1.0)
+    git_upper: float | np.ndarray = _ranged(1.0, 0.0, 1.0)
 
     def __post_init__(self):
-        _check_range("attitude", self.attitude, -1.0, 1.0)
-        _check_range("inertia_coeff", self.inertia_coeff, 0.0, 1.0)
-        _check_range("norm_weight", self.norm_weight, 0.0, 1.0)
-        _check_range("cm_int", self.cm_int, 0.0, 1.0)
-        _check_range("cm_ext", self.cm_ext, 0.0, 1.0)
-        _check_range("git_upper", self.git_upper, 0.0, 1.0)
+        for f in fields(self):
+            lo, hi = f.metadata["range"]
+            value = np.asarray(getattr(self, f.name))
+            if np.any(value < lo) or np.any(value > hi):
+                raise ConfigurationError(f"{f.name} must lie in [{lo}, {hi}]")
 
     def at(self, i: int) -> "BehaviouralProfile":
         """Scalar profile of cell i (fields broadcast if uniform)."""
@@ -65,14 +63,7 @@ class BehaviouralProfile:
         def pick(v):
             return float(v[i]) if isinstance(v, np.ndarray) else float(v)
 
-        return BehaviouralProfile(
-            attitude=pick(self.attitude),
-            inertia_coeff=pick(self.inertia_coeff),
-            norm_weight=pick(self.norm_weight),
-            cm_int=pick(self.cm_int),
-            cm_ext=pick(self.cm_ext),
-            git_upper=pick(self.git_upper),
-        )
+        return BehaviouralProfile(**{f.name: pick(getattr(self, f.name)) for f in fields(self)})
 
 
 @dataclass(frozen=True)
@@ -135,7 +126,6 @@ def evaluate_transition(
     i: int,
     candidate: AgentFunctionalType,
     globals_: BehaviourGlobals,
-    afts: Sequence[AgentFunctionalType] = DEFAULT_AFTS,
 ) -> float:
     """Giving-in threshold of cell i against a candidate management type.
 
@@ -146,12 +136,12 @@ def evaluate_transition(
     if grid.profiles is None:
         raise ConfigurationError("grid has no behavioural profiles attached")
     profile = grid.profiles.at(i)
-    i_current = afts[int(grid.aft_id[i])].intensity
+    i_current = DEFAULT_AFTS[int(grid.aft_id[i])].intensity
     i_candidate = candidate.intensity
     if i_candidate == i_current:
         raise InvalidTransitionError("candidate intensity equals current intensity")
 
-    intensities = np.array([a.intensity for a in afts])[grid.aft_id]
+    intensities = INTENSITY[grid.aft_id]
     if i_candidate > i_current:
         fraction = neighbour_intensity_fraction(net, intensities, i, i_candidate, INTENSIFY)
         cm = profile.cm_int

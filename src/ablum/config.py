@@ -131,9 +131,6 @@ class ExperimentConfig:
     sobol: SobolSettings | None = key(None, "sobol")
 
     def __post_init__(self):
-        for name in INT_KEYS:  # a non-finite value is left for validate() to reject by name
-            value = getattr(self, name)
-            setattr(self, name, int(value) if math.isfinite(value) else value)
         if self.peaks is None:
             self.peaks = default_peaks(self.grid_width, self.grid_height)
         else:
@@ -143,10 +140,16 @@ class ExperimentConfig:
             self.schedule = tuple((int(t), float(m)) for t, m in self.schedule)
 
     def validate(self):
-        for name, expected, lo, hi in _NUMBERS:
+        """Check every key, and store an integral float of an integer key as an int."""
+        for name, integer, expected, lo, hi in _NUMBERS:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ConfigurationError(f"config key {name!r} = {value!r} is not a finite number")
+            if integer:
+                if value != int(value):
+                    raise ConfigurationError(f"config key {name!r} = {value!r} is not an integer")
+                value = int(value)
+                setattr(self, name, value)
             if not lo <= value <= hi:
                 raise _out_of_range(name, value, expected)
         if self.moore_radius >= min(self.grid_width, self.grid_height):
@@ -191,9 +194,11 @@ def _bounds(expected: str | None) -> tuple[float, float]:
 
 
 _FIELDS = fields(ExperimentConfig)
-# (name, range, lo, hi) for every numeric key; ranges are parsed once, here.
+# (name, is integer, range, lo, hi) for every numeric key; ranges are parsed once, here.
 _NUMBERS = tuple(
-    (f.name, f.metadata["range"], *_bounds(f.metadata["range"])) for f in _FIELDS if f.type in (int, float)
+    (f.name, f.type is int, f.metadata["range"], *_bounds(f.metadata["range"]))
+    for f in _FIELDS
+    if f.type in (int, float)
 )
 # Config fields that sweeps and sensitivity samples may override.
 NUMERIC_KEYS = tuple(f.name for f in _FIELDS if f.metadata["sweep"])

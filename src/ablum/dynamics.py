@@ -15,19 +15,24 @@ one. Each run's results are the same either way, bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from .behaviour import BehaviourGlobals, _giving_in, _influence_score, clip_social
+from .behaviour import BehaviourGlobals, BehaviouralProfile, _giving_in, _influence_score, clip_social
 from .errors import ConfigurationError
-from .landscape import DEFAULT_AFTS, AgentFunctionalType, Cell, LandscapeGrid
-from .metrics import Trajectory
+from .landscape import DEFAULT_AFTS, INTENSITY, S_NAT, S_PROD, AgentFunctionalType, Cell, LandscapeGrid
+from .metrics import Trajectory, total_supply
 from .network import SocialNetwork
 
 # Fraction of cells reconsidering their management each tick.
 UPDATE_FRACTION = 0.05
+
+_N_TYPES = len(DEFAULT_AFTS)
+# Row i, column j: whether type j's intensity is at or above (below) type i's.
+_AT_OR_ABOVE = INTENSITY[None, :] >= INTENSITY[:, None]
+_AT_OR_BELOW = INTENSITY[None, :] <= INTENSITY[:, None]
 
 
 @dataclass
@@ -101,22 +106,15 @@ class SimulationState:
     behaviour_globals: BehaviourGlobals
     demand: DemandState
     rng: np.random.Generator
-    afts: tuple[AgentFunctionalType, ...] = DEFAULT_AFTS
     tick: int = 0
     economic_baseline: bool = False
     attitude_offsets: np.ndarray | None = None
-    intensity_table: np.ndarray = field(init=False, repr=False)
-    s_prod_table: np.ndarray = field(init=False, repr=False)
-    s_nat_table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.grid.profiles is None:
             raise ConfigurationError("grid needs behavioural profiles attached")
         if self.network.n_cells != self.grid.n_cells:
             raise ConfigurationError("network size does not match the grid")
-        self.intensity_table = np.array([a.intensity for a in self.afts])
-        self.s_prod_table = np.array([a.s_prod for a in self.afts])
-        self.s_nat_table = np.array([a.s_nat for a in self.afts])
 
 
 @dataclass(frozen=True)
@@ -135,9 +133,6 @@ class TickReport:
 def selection_count(n_cells: int) -> int:
     """Number of cells reconsidered per tick, rounded to the nearest integer."""
     return int(math.floor(UPDATE_FRACTION * n_cells + 0.5))
-
-
-_PROFILE_FIELDS = ("attitude", "inertia_coeff", "norm_weight", "cm_int", "cm_ext", "git_upper")
 
 
 def _join(parts: list[np.ndarray]) -> np.ndarray:
@@ -175,13 +170,13 @@ def _neighbours(net: SocialNetwork, cells: np.ndarray) -> tuple[np.ndarray, np.n
     return net.indices[np.repeat(starts - first, lens) + np.arange(int(lens.sum()))], lens
 
 
-def _class_counts(net: SocialNetwork, aft_id: np.ndarray, n_types: int) -> np.ndarray:
-    """(n_cells, n_types) counts of each class among every cell's neighbours."""
+def _class_counts(net: SocialNetwork, aft_id: np.ndarray) -> np.ndarray:
+    """(n_cells, _N_TYPES) counts of each class among every cell's neighbours."""
     keys = np.repeat(np.arange(net.n_cells), np.diff(net.indptr))
-    keys *= n_types
+    keys *= _N_TYPES
     keys += aft_id[net.indices]
-    counts = np.bincount(keys, minlength=net.n_cells * n_types).astype(np.int32)
-    return counts.reshape(net.n_cells, n_types)
+    counts = np.bincount(keys, minlength=net.n_cells * _N_TYPES).astype(np.int32)
+    return counts.reshape(net.n_cells, _N_TYPES)
 
 
 class Lockstep:
@@ -203,10 +198,7 @@ class Lockstep:
     def __init__(self, states: Sequence[SimulationState]):
         if not states:
             raise ConfigurationError("a batch needs at least one run")
-        if any(s.afts != states[0].afts for s in states):
-            raise ConfigurationError("runs in a batch must share their management types")
         self.states = list(states)
-        tables = self.states[0]
         grids = [s.grid for s in self.states]
         self.n_cells = np.array([g.n_cells for g in grids])
         self.offsets = np.concatenate([[0], np.cumsum(self.n_cells)])
@@ -218,8 +210,8 @@ class Lockstep:
         self.c_prod = _join([g.c_prod for g in grids])
         self.c_nat = _join([g.c_nat for g in grids])
         self.params = {
-            name: _join_cells([getattr(g.profiles, name) for g in grids], self.n_cells)
-            for name in _PROFILE_FIELDS
+            f.name: _join_cells([getattr(g.profiles, f.name) for g in grids], self.n_cells)
+            for f in fields(BehaviouralProfile)
         }
         self.params["logistic_k"] = _join_cells(
             [s.behaviour_globals.logistic_k for s in self.states], self.n_cells
@@ -228,23 +220,19 @@ class Lockstep:
         self.economic = np.repeat(economic, self.n_cells) if economic.any() else None
         self.network = _join_networks([s.network for s in self.states], self.offsets)
         self.degree = np.diff(self.network.indptr)
-        n_types = len(tables.afts)
-        self.class_counts = np.array([np.bincount(g.aft_id, minlength=n_types) for g in grids])
-        self.neighbour_counts = _join(
-            [_class_counts(s.network, s.grid.aft_id, n_types) for s in self.states]
-        )
-        intensity = tables.intensity_table
-        self.at_or_above = intensity[None, :] >= intensity[:, None]
-        self.at_or_below = intensity[None, :] <= intensity[:, None]
+        self.class_counts = np.array([np.bincount(g.aft_id, minlength=_N_TYPES) for g in grids])
+        self.neighbour_counts = _join([_class_counts(s.network, s.grid.aft_id) for s in self.states])
         self.demand = np.array([(s.demand.d_mat, s.demand.d_nm) for s in self.states])
         self.supply = np.zeros((len(self.states), 2))
         self.stale = np.ones(len(self.states), dtype=bool)
         self.live = np.arange(len(self.states))
 
     def refresh_supply(self, runs: np.ndarray) -> None:
-        """Recompute the supply of the given runs where a commit made it stale."""
+        """Recompute the supply of the given runs where a commit made it
+        stale, into ``supply`` and into each run's demand state."""
         for b in runs[self.stale[runs]]:
-            self.supply[b] = _refresh_supply(self.states[b])
+            demand = self.states[b].demand
+            demand.s_mat, demand.s_nm = self.supply[b] = total_supply(self.states[b].grid)
         self.stale[runs] = False
 
     def refresh_attitude(self) -> None:
@@ -256,8 +244,7 @@ class Lockstep:
         """Switch cells from their old to their new class, all at once."""
         self.aft_id[cells] = new
         nb, lens = _neighbours(self.network, cells)
-        n_types = self.neighbour_counts.shape[1]
-        keys = nb * n_types
+        keys = nb * _N_TYPES
         changes = np.concatenate([keys + np.repeat(old, lens), keys + np.repeat(new, lens)])
         signs = np.repeat(np.array([-1, 1], dtype=np.int32), keys.size)
         np.add.at(self.neighbour_counts.reshape(-1), changes, signs)
@@ -265,15 +252,6 @@ class Lockstep:
         np.add.at(self.class_counts, (runs, old), -1)
         np.add.at(self.class_counts, (runs, new), 1)
         self.stale[runs] = True
-
-
-def _refresh_supply(state: SimulationState) -> tuple[float, float]:
-    grid = state.grid
-    s_mat = float(state.s_prod_table[grid.aft_id] @ grid.c_prod)
-    s_nm = float(state.s_nat_table[grid.aft_id] @ grid.c_nat)
-    state.demand.s_mat = s_mat
-    state.demand.s_nm = s_nm
-    return s_mat, s_nm
 
 
 def tick(state: SimulationState | Lockstep) -> TickReport:
@@ -289,9 +267,8 @@ def tick(state: SimulationState | Lockstep) -> TickReport:
     live = batch.live
     batch.refresh_supply(live)
     picks = []
-    for b, supply in zip(live.tolist(), batch.supply[live].tolist()):
+    for b in live.tolist():
         run = batch.states[b]
-        run.demand.s_mat, run.demand.s_nm = supply
         n, k = int(batch.n_cells[b]), int(batch.draws[b])
         if k > 0:
             # A tuple size draws the same cells as k, through a faster path.
@@ -304,13 +281,11 @@ def tick(state: SimulationState | Lockstep) -> TickReport:
         empty = np.empty(0, dtype=np.int64)
         return TickReport(sel, empty, empty, empty)
 
-    tables = batch.states[0]
-    n_types = len(tables.afts)
     benefit = np.repeat(unit_benefit(batch.demand[live], batch.supply[live]), draws, axis=0)
     inc = batch.aft_id[sel]
     utilities = (
-        benefit[:, 0] * tables.s_prod_table[:, None] * batch.c_prod[sel]
-        + benefit[:, 1] * tables.s_nat_table[:, None] * batch.c_nat[sel]
+        benefit[:, 0] * S_PROD[:, None] * batch.c_prod[sel]
+        + benefit[:, 1] * S_NAT[:, None] * batch.c_nat[sel]
     )
     u_inc = utilities[inc, np.arange(sel.size)]
 
@@ -318,12 +293,11 @@ def tick(state: SimulationState | Lockstep) -> TickReport:
     counts = batch.neighbour_counts[sel].T
     deg = batch.degree[sel]
     with np.errstate(invalid="ignore"):
-        p_ge = (batch.at_or_above @ counts) / deg
-        p_le = (batch.at_or_below @ counts) / deg
+        p_ge = (_AT_OR_ABOVE @ counts) / deg
+        p_le = (_AT_OR_BELOW @ counts) / deg
 
     params = {name: v[sel] if v.ndim else v for name, v in batch.params.items()}
-    intensity = tables.intensity_table
-    delta = intensity[:, None] - intensity[inc]
+    delta = INTENSITY[:, None] - INTENSITY[inc]
     intensifying = delta > 0
     p = np.where(intensifying, p_ge, p_le)
     cm = np.where(intensifying, params["cm_int"], params["cm_ext"])
@@ -336,7 +310,7 @@ def tick(state: SimulationState | Lockstep) -> TickReport:
     if batch.economic is not None:
         git = np.where(batch.economic[sel], 0.0, git)
     surplus = utilities - u_inc
-    admissible = (np.arange(n_types)[:, None] != inc) & (surplus > git)
+    admissible = (np.arange(_N_TYPES)[:, None] != inc) & (surplus > git)
     score = np.where(admissible, surplus - git, -np.inf)
 
     # The largest score wins; ties go to the smaller jump, then the lower id.
@@ -349,18 +323,10 @@ def tick(state: SimulationState | Lockstep) -> TickReport:
     return report
 
 
-def apply_attitude_schedule(
-    state: SimulationState,
-    schedule: AttitudeSchedule,
-    per_cell_offsets: np.ndarray | None = None,
-) -> SimulationState:
-    """Set attitudes to the scheduled mean at the current tick plus offsets.
-
-    The sum is clamped to [-1, 1] cell by cell.
-    """
-    offsets = per_cell_offsets if per_cell_offsets is not None else state.attitude_offsets
-    if offsets is None:
-        offsets = 0.0
+def apply_attitude_schedule(state: SimulationState, schedule: AttitudeSchedule) -> SimulationState:
+    """Set attitudes to the scheduled mean at the current tick plus the
+    state's attitude offsets, clamped to [-1, 1] cell by cell."""
+    offsets = state.attitude_offsets if state.attitude_offsets is not None else 0.0
     mean = schedule.mean_at(state.tick)
     state.grid.profiles.attitude = np.clip(mean + offsets, -1.0, 1.0)
     return state

@@ -28,7 +28,7 @@ from .dynamics import (
     run_until_stable,
 )
 from .errors import ConfigurationError, DegenerateVarianceError
-from .landscape import DEFAULT_AFTS, LandscapeGrid, generate_capitals, init_land_use
+from .landscape import LandscapeGrid, generate_capitals, init_land_use
 from .metrics import (
     OUTPUT_METRICS,
     RunSummary,
@@ -138,7 +138,6 @@ def build_state(
         behaviour_globals=BehaviourGlobals(config.logistic_k),
         demand=DemandState(config.demand_mat, config.demand_nm),
         rng=np.random.default_rng(streams.sim),
-        afts=DEFAULT_AFTS,
         economic_baseline=config.economic_baseline,
         attitude_offsets=attitude_offsets,
     )

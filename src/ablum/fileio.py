@@ -46,20 +46,21 @@ def _csv_text(writers: dict[str, Callable[[object], str]], rows: Iterable[Sequen
     return "\n".join(lines) + "\n"
 
 
+def _cell_csv_text(header: str, line: str, grid: LandscapeGrid, *columns: np.ndarray) -> str:
+    """Header, then one ``line.format(x, y, *values)`` per cell in row-major order."""
+    xs = np.tile(np.arange(grid.width), grid.height).tolist()
+    ys = np.repeat(np.arange(grid.height), grid.width).tolist()
+    lines = map(line.format, xs, ys, *(column.tolist() for column in columns))
+    return "\n".join([header, *lines]) + "\n"
+
+
 def write_capitals_csv(path: str | Path, grid: LandscapeGrid) -> None:
-    lines = ["x,y,c_prod,c_nat"]
-    for i in range(grid.n_cells):
-        x, y = i % grid.width, i // grid.width
-        lines.append(f"{x},{y},{fmt(grid.c_prod[i])},{fmt(grid.c_nat[i])}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    text = _cell_csv_text("x,y,c_prod,c_nat", "{},{},{:.6f},{:.6f}", grid, grid.c_prod, grid.c_nat)
+    Path(path).write_text(text)
 
 
 def write_map_csv(path: str | Path, grid: LandscapeGrid) -> None:
-    lines = [_MAP_HEADER]
-    for i in range(grid.n_cells):
-        x, y = i % grid.width, i // grid.width
-        lines.append(f"{x},{y},{int(grid.aft_id[i])}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text(_cell_csv_text(_MAP_HEADER, "{},{},{}", grid, grid.aft_id))
 
 
 def read_map_csv(path: str | Path) -> tuple[int, int, np.ndarray]:

@@ -3,6 +3,10 @@
 Cells live on a rectangular grid in row-major order (index = y * width + x).
 Each cell carries two static capitals, a productive one and a natural one,
 and the id of the management type currently applied to it.
+
+The three management types are constants, and so are their attribute
+tables INTENSITY, S_PROD and S_NAT: read-only arrays indexed by type id,
+so ``S_PROD[grid.aft_id]`` is every cell's productive sensitivity.
 """
 
 from __future__ import annotations
@@ -52,6 +56,17 @@ DEFAULT_AFTS: tuple[AgentFunctionalType, ...] = (
 )
 
 
+def _table(attribute: str) -> np.ndarray:
+    table = np.array([getattr(a, attribute) for a in DEFAULT_AFTS])
+    table.flags.writeable = False
+    return table
+
+
+INTENSITY = _table("intensity")
+S_PROD = _table("s_prod")
+S_NAT = _table("s_nat")
+
+
 @dataclass
 class Cell:
     """View of a single cell; handy for inspection and scalar evaluations."""
@@ -61,7 +76,6 @@ class Cell:
     c_prod: float
     c_nat: float
     aft_id: int
-    profile: "BehaviouralProfile | None" = None
 
 
 @dataclass
@@ -95,14 +109,12 @@ class LandscapeGrid:
         return self.width * self.height
 
     def cell(self, i: int) -> Cell:
-        profile = self.profiles.at(i) if self.profiles is not None else None
         return Cell(
             x=int(i % self.width),
             y=int(i // self.width),
             c_prod=float(self.c_prod[i]),
             c_nat=float(self.c_nat[i]),
             aft_id=int(self.aft_id[i]),
-            profile=profile,
         )
 
 
@@ -162,15 +174,14 @@ def init_land_use(
     n_cells: int,
     shares: Sequence[float],
     seed: int | np.random.SeedSequence = 0,
-    n_types: int = 3,
 ) -> np.ndarray:
     """Draw an initial management-type id per cell, i.i.d. with given shares."""
     shares = np.asarray(shares, dtype=np.float64)
-    if shares.shape != (n_types,):
-        raise ConfigurationError(f"expected {n_types} initial shares")
+    if shares.shape != (len(DEFAULT_AFTS),):
+        raise ConfigurationError(f"expected {len(DEFAULT_AFTS)} initial shares")
     if np.any(shares < 0):
         raise ConfigurationError("initial shares must be non-negative")
     if abs(shares.sum() - 1.0) > 1e-9:
         raise ConfigurationError("initial shares must sum to 1")
     rng = np.random.default_rng(seed)
-    return rng.choice(n_types, size=n_cells, p=shares / shares.sum()).astype(np.int64)
+    return rng.choice(len(DEFAULT_AFTS), size=n_cells, p=shares / shares.sum()).astype(np.int64)

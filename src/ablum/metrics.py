@@ -9,7 +9,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ConfigurationError
-from .landscape import DEFAULT_AFTS, AgentFunctionalType, LandscapeGrid
+from .landscape import DEFAULT_AFTS, S_NAT, S_PROD, LandscapeGrid
 
 _STRUCTURE_4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 _STRUCTURE_8 = np.ones((3, 3), dtype=bool)
@@ -75,31 +75,25 @@ class RunSummary:
     stabilised_at: int = integer_column()
 
 
-def intensity_shares(grid: LandscapeGrid, n_types: int = 3) -> dict[int, float]:
+def intensity_shares(grid: LandscapeGrid) -> dict[int, float]:
     """Share of cells per intensity class; shares sum to 1."""
-    counts = np.bincount(grid.aft_id, minlength=n_types)
-    return {c: float(counts[c]) / grid.n_cells for c in range(n_types)}
+    counts = np.bincount(grid.aft_id, minlength=len(DEFAULT_AFTS))
+    return {a.id: float(counts[a.id]) / grid.n_cells for a in DEFAULT_AFTS}
 
 
-def total_supply(
-    grid: LandscapeGrid, afts: Sequence[AgentFunctionalType] = DEFAULT_AFTS
-) -> tuple[float, float]:
+def total_supply(grid: LandscapeGrid) -> tuple[float, float]:
     """Landscape totals of material and non-material production."""
-    s_prod = np.array([a.s_prod for a in afts])[grid.aft_id]
-    s_nat = np.array([a.s_nat for a in afts])[grid.aft_id]
-    return float(s_prod @ grid.c_prod), float(s_nat @ grid.c_nat)
+    return float(S_PROD[grid.aft_id] @ grid.c_prod), float(S_NAT[grid.aft_id] @ grid.c_nat)
 
 
-def patch_decomposition(
-    grid: LandscapeGrid, connectivity: int = 4, n_types: int = 3
-) -> dict[int, tuple[int, ...]]:
+def patch_decomposition(grid: LandscapeGrid, connectivity: int = 4) -> dict[int, tuple[int, ...]]:
     """Cell counts of the connected patches of each intensity class."""
     if connectivity not in (4, 8):
         raise ConfigurationError("connectivity must be 4 or 8")
     structure = _STRUCTURE_4 if connectivity == 4 else _STRUCTURE_8
     field = grid.aft_id.reshape(grid.height, grid.width)
     areas: dict[int, tuple[int, ...]] = {}
-    for c in range(n_types):
+    for c in range(len(DEFAULT_AFTS)):
         labels, n_patches = ndimage.label(field == c, structure=structure)
         if n_patches == 0:
             areas[c] = ()

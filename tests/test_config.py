@@ -177,6 +177,27 @@ class TestValidation:
             AttitudeSchedule(((0, 0.0), (10.5, 0.5)))
         assert ExperimentConfig(schedule=((0, 0.0), (10.0, 0.5))).schedule == ((0, 0.0), (10, 0.5))
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"grid_width": 9.5, "grid_height": 9},
+            {"seed": 1.5},
+            {"n_tele": 2.7},
+            {"max_ticks": 20.5, "window": 5},
+        ],
+    )
+    def test_non_integral_integer_keys_rejected(self, values):
+        name, value = next(iter(values.items()))
+        with pytest.raises(ConfigurationError) as err:
+            ExperimentConfig(**values)
+        assert str(err.value) == f"config key {name!r} = {value!r} is not an integer"
+
+    def test_integral_floats_of_integer_keys_become_ints(self):
+        cfg = ExperimentConfig(grid_width=9.0, grid_height=9, seed=1.0, n_tele=3.0, max_ticks=20.0, window=5)
+        for name, value in (("grid_width", 9), ("seed", 1), ("n_tele", 3), ("max_ticks", 20)):
+            assert type(getattr(cfg, name)) is int
+            assert getattr(cfg, name) == value
+
     def test_non_finite_values_in_files_rejected(self):
         for text, message in (
             ("[demand]\ndemand_mat = inf\n", "config key 'demand_mat' = inf is not a finite number"),
@@ -377,6 +398,9 @@ class TestApplyValues:
         cfg = apply_values(ExperimentConfig(), {"moore_radius": 2.5, "n_tele": 10.2})
         assert cfg.moore_radius == 3
         assert cfg.n_tele == 10
+
+    def test_integer_keys_rounded_half_up(self):
+        assert apply_values(ExperimentConfig(), {"n_tele": 2.7}).n_tele == 3
 
     def test_floats_applied(self):
         cfg = apply_values(ExperimentConfig(), {"attitude_mean": -0.25, "git_upper_L": 0.4})

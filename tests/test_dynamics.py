@@ -26,9 +26,11 @@ from ablum import (
     run_until_stable,
     selection_count,
     tick,
+    total_supply,
     unit_benefit,
     utility,
 )
+from ablum.dynamics import Lockstep
 
 
 def make_state(
@@ -161,8 +163,8 @@ class TestAttitudeSchedule:
 
     def test_apply_clamps_with_offsets(self):
         state = make_state()
-        offsets = np.full(state.grid.n_cells, 0.9)
-        apply_attitude_schedule(state, AttitudeSchedule(((0, 0.5), (10, 0.5))), offsets)
+        state.attitude_offsets = np.full(state.grid.n_cells, 0.9)
+        apply_attitude_schedule(state, AttitudeSchedule(((0, 0.5), (10, 0.5))))
         assert np.all(state.grid.profiles.attitude == 1.0)
 
     def test_symmetric_ramp_mirrors(self):
@@ -222,18 +224,24 @@ def snapshot_replay(state):
 
 class TestTick:
     def test_supply_bookkeeping(self):
-        state = make_state()
-        tick(state)
-        grid = state.grid
-        ref_mat = sum(
-            DEFAULT_AFTS[grid.aft_id[i]].s_prod * grid.c_prod[i] for i in range(grid.n_cells)
-        )
-        _, _ = state.demand.s_mat, state.demand.s_nm
-        # refresh happened against the snapshot; recompute for the new state
-        from ablum.dynamics import _refresh_supply
-
-        s_mat, _ = _refresh_supply(state)
-        assert s_mat == pytest.approx(ref_mat, abs=1e-9)
+        # without thresholds the first tick changes both runs' land use
+        states = [
+            make_state(seed=0, economic_baseline=True),
+            make_state(seed=1, capital_seed=9, economic_baseline=True),
+        ]
+        batch = Lockstep(states)
+        tick(batch)
+        assert batch.stale.all()
+        batch.refresh_supply(batch.live)
+        for b, state in enumerate(states):
+            expected = total_supply(state.grid)
+            assert tuple(batch.supply[b].tolist()) == expected
+            assert (state.demand.s_mat, state.demand.s_nm) == expected
+            grid = state.grid
+            ref_mat = sum(
+                DEFAULT_AFTS[grid.aft_id[i]].s_prod * grid.c_prod[i] for i in range(grid.n_cells)
+            )
+            assert expected[0] == pytest.approx(ref_mat, abs=1e-9)
 
     def test_fixed_point_when_saturated(self):
         # oversupplied demands give zero benefit, so no surplus ever

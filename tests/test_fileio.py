@@ -115,6 +115,26 @@ class TestCapitalsCsv:
         assert cn == fmt(grid.c_nat[0])
 
 
+class TestCellWritersMatchScalarFormatting:
+    """The map and capitals writers format whole columns at once; every line
+    must equal the per-cell formatting of its cell."""
+
+    @pytest.mark.parametrize("width, height", [(5, 3), (3, 7)])
+    def test_every_line(self, tmp_path, width, height):
+        grid = small_grid(width, height)
+        cells = [(i % width, i // width) for i in range(grid.n_cells)]
+        write_map_csv(tmp_path / "map.csv", grid)
+        write_capitals_csv(tmp_path / "capitals.csv", grid)
+        expected_map = [f"{x},{y},{int(grid.aft_id[i])}" for i, (x, y) in enumerate(cells)]
+        expected_capitals = [
+            f"{x},{y},{fmt(grid.c_prod[i])},{fmt(grid.c_nat[i])}" for i, (x, y) in enumerate(cells)
+        ]
+        assert (tmp_path / "map.csv").read_text() == "\n".join(["x,y,aft_id", *expected_map]) + "\n"
+        assert (tmp_path / "capitals.csv").read_text() == (
+            "\n".join(["x,y,c_prod,c_nat", *expected_capitals]) + "\n"
+        )
+
+
 class TestTrajectoryCsv:
     def test_header_without_schedule(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ablum
 from ablum import (
     CONSERVATION,
     DEFAULT_AFTS,
@@ -23,6 +24,16 @@ class TestAftTable:
     def test_canonical_ids(self):
         assert [a.id for a in DEFAULT_AFTS] == [0, 1, 2]
         assert CONSERVATION.intensity < MEDIUM_INTENSITY.intensity < HIGH_INTENSITY.intensity
+
+    @pytest.mark.parametrize(
+        "table, attribute", [("INTENSITY", "intensity"), ("S_PROD", "s_prod"), ("S_NAT", "s_nat")]
+    )
+    def test_constant_tables(self, table, attribute):
+        values = getattr(ablum, table)
+        assert values.tolist() == [getattr(a, attribute) for a in DEFAULT_AFTS]
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.5
+        assert values.tolist() == [getattr(a, attribute) for a in DEFAULT_AFTS]
 
     def test_sensitivities_sum_to_one(self):
         for aft in DEFAULT_AFTS:

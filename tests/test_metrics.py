@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ablum import (
-    DEFAULT_AFTS,
     LandscapeGrid,
     Trajectory,
     default_peaks,
@@ -97,7 +96,7 @@ class TestTotalSupply:
 
     def test_respects_custom_aft_table(self):
         grid = make_grid([1] * 4, 2, 2)
-        s_mat, s_nm = total_supply(grid, DEFAULT_AFTS)
+        s_mat, s_nm = total_supply(grid)
         assert s_mat == pytest.approx(4 * 0.5 * 0.5, abs=1e-12)
 
 
