@@ -2,7 +2,7 @@
 
 Subcommands: run, sweep, hysteresis, sobol, landscape, metrics. All artefacts
 are deterministic CSV/JSON; rerunning a command with the same config and seed
-reproduces identical bytes.
+reproduces identical bytes. hysteresis and sobol also print a short summary.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, SobolSettings, load_config
 from .errors import ConfigurationError
 from .experiments import (
     recompute_metrics,
@@ -132,30 +132,35 @@ def _cmd_hysteresis(args) -> int:
         raise ConfigurationError("hysteresis command needs a [schedule] section in the config")
     result = run_single(config)
     _write_run_dir(args.out, result)
+    traj = result.trajectory
+    shares = (traj.share_c, traj.share_mi, traj.share_hi)
+    start, end = ("/".join(f"{share[i]:.3f}" for share in shares) for i in (0, -1))
+    drift = sum(abs(share[-1] - share[0]) for share in shares)
+    returns = traj.scheduled_attitude[-1] == traj.scheduled_attitude[0]
+    print(f"shares start -> end: {start} -> {end}")
+    print(f"L1 drift {drift:.3f}; scheduled attitude returns: {returns}")
     return 0
 
 
 def _cmd_sobol(args) -> int:
     config = _load(args)
-    settings = config.sobol
-    n_base = args.n_base if args.n_base is not None else (settings.n_base if settings else None)
-    if n_base is None:
+    if args.n_base is None and config.sobol is None:
         raise ConfigurationError("sobol command needs --n-base or a [sobol] section")
-    second = args.second_order
-    if second is None:
-        second = settings.second_order if settings else False
-    replicates = args.reps if args.reps is not None else (settings.replicates if settings else 1)
+    settings = config.sobol or SobolSettings()
     design, outputs, indices = run_sobol(
         config,
-        n_base,
-        second_order=second,
-        replicates=replicates,
+        settings.n_base if args.n_base is None else args.n_base,
+        second_order=settings.second_order if args.second_order is None else args.second_order,
+        replicates=settings.replicates if args.reps is None else args.reps,
         threads=args.threads,
     )
     args.out.mkdir(parents=True, exist_ok=True)
     fileio.write_design_csv(args.out / "design.csv", design)
     fileio.write_outputs_csv(args.out / "outputs.csv", outputs)
     fileio.write_indices_json(args.out / "indices.json", indices)
+    for metric, idx in indices.items():
+        ranked = "  ".join(f"{idx.names[i]}={idx.st[i]:.3f}" for i in np.argsort(idx.st)[::-1][:4])
+        print(f"{metric:8s} total effect: {ranked}")
     return 0
 
 

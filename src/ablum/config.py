@@ -33,6 +33,20 @@ def key(default, section: str, range: str | None = None, *, ini: str | None = No
     return field(default=default, metadata={"section": section, "ini": ini, "range": range, "sweep": sweep})
 
 
+def _number(record, name: str, integer: bool = True):
+    """Key ``name`` of ``record`` (a config or a section), checked to be finite
+    and, for an integer key, integral; an integer key is stored back as an int."""
+    value = getattr(record, name)
+    if not math.isfinite(value):
+        raise ConfigurationError(f"config key {name!r} = {value!r} is not a finite number")
+    if integer:
+        if value != int(value):
+            raise ConfigurationError(f"config key {name!r} = {value!r} is not an integer")
+        value = int(value)
+        object.__setattr__(record, name, value)
+    return value
+
+
 @dataclass(frozen=True)
 class SweepParam:
     name: str
@@ -48,6 +62,7 @@ class SweepParam:
             )
         if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
             raise ConfigurationError(f"sweep {self.name}: bounds must be finite")
+        _number(self, "steps")
         if self.steps < 2:
             raise ConfigurationError("sweep steps must be >= 2")
         if self.lower > self.upper:
@@ -67,6 +82,7 @@ class SweepSpec:
     def __post_init__(self):
         if not 1 <= len(self.params) <= 2:
             raise ConfigurationError("sweeps take one or two parameters")
+        _number(self, "replications")
         if self.replications < 1:
             raise ConfigurationError("sweep replications must be >= 1")
 
@@ -78,6 +94,8 @@ class SobolSettings:
     replicates: int = 1
 
     def __post_init__(self):
+        _number(self, "n_base")
+        _number(self, "replicates")
         if self.n_base < 1:
             raise ConfigurationError("n_base must be positive")
         if self.replicates < 1:
@@ -142,14 +160,7 @@ class ExperimentConfig:
     def validate(self):
         """Check every key, and store an integral float of an integer key as an int."""
         for name, integer, expected, lo, hi in _NUMBERS:
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigurationError(f"config key {name!r} = {value!r} is not a finite number")
-            if integer:
-                if value != int(value):
-                    raise ConfigurationError(f"config key {name!r} = {value!r} is not an integer")
-                value = int(value)
-                setattr(self, name, value)
+            value = _number(self, name, integer)
             if not lo <= value <= hi:
                 raise _out_of_range(name, value, expected)
         if self.moore_radius >= min(self.grid_width, self.grid_height):

@@ -9,6 +9,7 @@ Sensitivity rows share the seed of their base sample across Saltelli blocks
 
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -229,14 +230,9 @@ def run_replicates(config: ExperimentConfig, threads: int = 1) -> list[RunResult
 
 def sweep_points(sweep: SweepSpec) -> list[dict[str, float]]:
     """Grid points in row-major order: first parameter outermost."""
-    grids = [param.values() for param in sweep.params]
-    if len(grids) == 1:
-        return [{sweep.params[0].name: float(v)} for v in grids[0]]
-    return [
-        {sweep.params[0].name: float(v0), sweep.params[1].name: float(v1)}
-        for v0 in grids[0]
-        for v1 in grids[1]
-    ]
+    names = [param.name for param in sweep.params]
+    grids = [param.values().tolist() for param in sweep.params]
+    return [dict(zip(names, point)) for point in itertools.product(*grids)]
 
 
 def _sweep_row(names, config, key, state, trajectory) -> dict:

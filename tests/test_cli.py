@@ -7,6 +7,7 @@ import subprocess
 import pytest
 
 from ablum import cli
+from ablum.metrics import OUTPUT_METRICS
 
 SMALL = """
 [grid]
@@ -174,8 +175,25 @@ class TestSweep:
 
 
 class TestHysteresis:
-    def test_needs_schedule(self, small_cfg, tmp_path):
+    def test_needs_schedule(self, small_cfg, tmp_path, capsys):
         assert entry("hysteresis", "--config", small_cfg, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == (
+            "error: hysteresis command needs a [schedule] section in the config\n"
+        )
+
+    def test_prints_drift_summary(self, tmp_path, capsys):
+        cfg = tmp_path / "ramp.cfg"
+        cfg.write_text(
+            SMALL.replace("max_ticks = 40", "max_ticks = 30")
+            + "\n[schedule]\nbreakpoints = 0,-0.5; 8,0.5; 16,-0.5\n"
+        )
+        out = tmp_path / "out"
+        assert entry("hysteresis", "--config", cfg, "--out", out) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "shares start -> end: 0.333/0.370/0.296 -> 0.222/0.272/0.506",
+            "L1 drift 0.420; scheduled attitude returns: True",
+        ]
+        assert len((out / "run_s3_r0" / "trajectory.csv").read_text().splitlines()) == 1 + 17
 
     def test_trajectory_has_schedule_column(self, tmp_path):
         cfg = tmp_path / "h.cfg"
@@ -236,6 +254,22 @@ class TestSobol:
             "n_tele",
         }
         assert "S2" not in payload["share_c"]
+
+    def test_prints_ranked_total_effects(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert entry("sobol", "--config", self._cfg(tmp_path), "--n-base", "2", "--out", out) == 0
+        lines = capsys.readouterr().out.splitlines()
+        payload = json.loads((out / "indices.json").read_text())
+        assert [line.split()[0] for line in lines] == list(OUTPUT_METRICS)
+        for line, metric in zip(lines, OUTPUT_METRICS):
+            assert line.startswith(f"{metric:8s} total effect: ")
+            ranked = [item.split("=") for item in line.split(": ", 1)[1].split("  ")]
+            st = payload[metric]["ST"]
+            assert len(ranked) == 4 and len({name for name, _ in ranked}) == 4
+            assert [value for _, value in ranked] == [f"{st[name]:.3f}" for name, _ in ranked]
+            top = [st[name] for name, _ in ranked]
+            assert top == sorted(top, reverse=True)
+            assert all(v <= top[-1] for name, v in st.items() if name not in dict(ranked))
 
     def test_config_section_and_second_order(self, tmp_path):
         cfg = self._cfg(tmp_path, "[sobol]\nn_base = 2\nsecond_order = true\n")

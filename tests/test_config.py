@@ -1,6 +1,7 @@
 """Config file grammar, validation messages, and lossless round-trips."""
 
 import hashlib
+import math
 from pathlib import Path
 
 import numpy as np
@@ -387,6 +388,41 @@ class TestSobolParsing:
             with pytest.raises(ConfigurationError) as err:
                 loads_config(f"[sobol]\n{text}\n")
             assert str(err.value) == message
+
+
+class TestSectionIntegers:
+    """Sweep and Sobol counts follow ExperimentConfig's integer rule when
+    constructed directly, not only when parsed from a file."""
+
+    PARAM = SweepParam("cm", 0.0, 1.0, 3)
+    CASES = {
+        "steps": lambda v: SweepParam("n_tele", 0, 10, v),
+        "replications": lambda v: SweepSpec(params=(TestSectionIntegers.PARAM,), replications=v),
+        "n_base": lambda v: SobolSettings(n_base=v),
+        "replicates": lambda v: SobolSettings(replicates=v),
+    }
+
+    @pytest.mark.parametrize(
+        "name, value", [("steps", 2.5), ("replications", 1.5), ("n_base", 8.5), ("replicates", 2.25)]
+    )
+    def test_non_integral_counts_rejected(self, name, value):
+        with pytest.raises(ConfigurationError) as err:
+            self.CASES[name](value)
+        assert str(err.value) == f"config key {name!r} = {value!r} is not an integer"
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_non_finite_counts_rejected(self, name):
+        with pytest.raises(ConfigurationError) as err:
+            self.CASES[name](math.inf)
+        assert str(err.value) == f"config key {name!r} = inf is not a finite number"
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_integral_floats_become_ints(self, name):
+        value = getattr(self.CASES[name](3.0), name)
+        assert type(value) is int and value == 3
+
+    def test_integral_float_steps_give_a_grid(self):
+        assert SweepParam("n_tele", 0, 10, 3.0).values().tolist() == [0.0, 5.0, 10.0]
 
 
 class TestApplyValues:

@@ -131,6 +131,11 @@ class TestSweep:
             {"attitude_mean": 1.0, "cm": 1.0},
         ]
 
+    def test_one_parameter_points_are_floats(self):
+        pts = sweep_points(SweepSpec(params=(SweepParam("n_tele", 0, 10, 3),)))
+        assert pts == [{"n_tele": 0.0}, {"n_tele": 5.0}, {"n_tele": 10.0}]
+        assert all(type(p["n_tele"]) is float for p in pts)
+
     def test_row_count_5x5x3(self):
         cfg = small_config(epsilon=1.0)
         sweep = SweepSpec(

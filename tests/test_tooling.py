@@ -1,14 +1,22 @@
-"""The benchmark's tracer still finds every package attribute it wraps.
+"""Tooling guards: the benchmark's tracer and the README stay in step with the code.
 
 perfbench/tracing.py lists the module attributes it wraps by name; one the
-package no longer defines is skipped and its layer reads zero. This test
-fails instead, so a rename is caught with the code that made it.
+package no longer defines is skipped and its layer reads zero. The first test
+fails instead, so a rename is caught with the code that made it. The README
+tests catch a quick-start command or a named file that no longer exists.
 """
 
+import re
 import sys
 from pathlib import Path
 
-BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
+import pytest
+
+from ablum import cli, load_config
+
+REPO = Path(__file__).resolve().parents[1]
+BENCH_DIR = REPO / "perfbench"
+README = (REPO / "README.md").read_text()
 
 
 def test_every_traced_attribute_exists(monkeypatch):
@@ -17,3 +25,25 @@ def test_every_traced_attribute_exists(monkeypatch):
     import tracing
 
     assert tracing.Tracer().missing == []
+
+
+def test_readme_quick_start_commands_parse():
+    section = README.split("## Quick start", 1)[1].split("\n## ", 1)[0]
+    commands = [line.split()[1:] for line in section.splitlines() if line.startswith("ablum ")]
+    assert len(commands) >= 6
+    parser = cli._build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README quick start: 'ablum {' '.join(argv)}' does not parse")
+
+
+def test_readme_names_only_existing_presets_and_scripts():
+    named = set(re.findall(r"(?:presets/[\w.-]+\.cfg|scripts/[\w.-]+\.py)", README))
+    assert any(name.startswith("scripts/") for name in named)
+    missing = sorted(name for name in named if not (REPO / name).is_file())
+    assert missing == []
+    for name in sorted(named):
+        if name.endswith(".cfg"):
+            load_config(REPO / name)
