@@ -1,76 +1,58 @@
-"""Sweep the attitude/norm-weight plane and print the settled regime map.
+"""Print the settled regime map of an attitude by norm-weight sweep.
 
-The checked-in preset scans from a balanced initial mix. The regimes are
-attractors, so rerunning with --medium-rich starts the scan from a
-medium-dominated mix and reaches the basins a balanced start cannot.
+Reads the sweep.csv that `ablum sweep` writes and draws one glyph per grid
+point from the final shares, averaged over the point's replicates:
+
+    ablum sweep --config presets/regime_map.cfg --out out/regimes
+    python scripts/regime_map.py out/regimes/sweep.csv
+
+The regimes are attractors, so a balanced start misses some basins; sweep a
+copy of the preset with another [init] mix to reach them (see README).
 """
 
 from __future__ import annotations
 
 import argparse
-from dataclasses import replace
+import csv
 from pathlib import Path
-
-import numpy as np
-
-from ablum import load_config, run_sweep
-from ablum.fileio import write_sweep_csv
 
 GLYPHS = (".", "o", "#")  # dominant class: conservation, medium, high
 MIXED = "="
+SHARES = ("final_share_c", "final_share_mi", "final_share_hi")
 
 
-def classify(c: float, mi: float, hi: float) -> str:
-    shares = (c, mi, hi)
-    top = int(np.argmax(shares))
+def classify(shares: list[float]) -> str:
+    """Glyph of the dominant class of (conservation, medium, high) shares."""
+    top = shares.index(max(shares))
     return GLYPHS[top] if shares[top] >= 0.45 else MIXED
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--config", type=Path, default=Path("presets/regime_map.cfg")
-    )
-    parser.add_argument("--out", type=Path, default=Path("out/regime_map"))
-    parser.add_argument(
-        "--medium-rich",
-        action="store_true",
-        help="start from a medium-dominated mix (0.1/0.8/0.1)",
-    )
-    parser.add_argument("--threads", type=int, default=1)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("sweep", type=Path, help="sweep.csv written by ablum sweep")
     args = parser.parse_args()
+    try:
+        with args.sweep.open(newline="") as handle:
+            reader = csv.DictReader(handle)
+            rows = list(reader)
+    except OSError as exc:
+        parser.error(f"cannot read {args.sweep}: {exc.strerror}")
+    if not {"attitude_mean", "norm_weight_w", *SHARES} <= set(reader.fieldnames or ()):
+        parser.error(f"{args.sweep} is not a sweep over attitude_mean and norm_weight_w")
 
-    config = load_config(args.config)
-    if args.medium_rich:
-        config = replace(config, share_c=0.1, share_mi=0.8, share_hi=0.1)
-        config.validate()
-    names, rows = run_sweep(config, threads=args.threads)
-
-    args.out.mkdir(parents=True, exist_ok=True)
-    csv_path = args.out / ("sweep_medium_rich.csv" if args.medium_rich else "sweep.csv")
-    write_sweep_csv(csv_path, names, rows)
-
-    # average replicate rows per grid point, then draw the plane
-    by_point: dict[tuple, list[dict]] = {}
+    # average replicate rows per (w, a) grid point, then draw the plane
+    by_point: dict[tuple[float, float], list[list[float]]] = {}
     for row in rows:
-        by_point.setdefault(tuple(row[n] for n in names), []).append(row)
-    a_values = sorted({key[names.index("attitude_mean")] for key in by_point})
-    w_values = sorted({key[names.index("norm_weight_w")] for key in by_point})
-
-    print(f"wrote {csv_path} ({len(rows)} rows)")
+        point = (float(row["norm_weight_w"]), float(row["attitude_mean"]))
+        by_point.setdefault(point, []).append([float(row[share]) for share in SHARES])
     print("rows: norm weight (1 at top), columns: attitude (-1 to 1)")
     print(f"glyphs: {GLYPHS[0]} conservation, {GLYPHS[1]} medium, "
           f"{GLYPHS[2]} high, {MIXED} mixed")
-    for w in reversed(w_values):
+    for w in sorted({w for w, _ in by_point}, reverse=True):
         line = []
-        for a in sorted(a_values):
-            key_map = dict(zip(names, (a, w) if names[0] == "attitude_mean" else (w, a)))
-            cell = by_point[tuple(key_map[n] for n in names)]
-            means = [
-                float(np.mean([r[f"final_share_{k}"] for r in cell]))
-                for k in ("c", "mi", "hi")
-            ]
-            line.append(classify(*means))
+        for a in sorted({a for _, a in by_point}):
+            cell = by_point[w, a]
+            line.append(classify([sum(column) / len(cell) for column in zip(*cell)]))
         print(f"  w={w:5.2f}  " + " ".join(line))
 
 

@@ -1,8 +1,9 @@
 """Command-line entry point.
 
-Subcommands: run, sweep, hysteresis, sobol, landscape, metrics. All artefacts
-are deterministic CSV/JSON; rerunning a command with the same config and seed
-reproduces identical bytes. hysteresis and sobol also print a short summary.
+Subcommands: run, sweep, hysteresis, sobol, landscape, metrics; each takes
+only the flags it reads (_COMMANDS). All artefacts are deterministic CSV/JSON;
+rerunning a command with the same config and seed reproduces identical bytes.
+hysteresis and sobol also print a short summary.
 """
 
 from __future__ import annotations
@@ -37,44 +38,29 @@ def _default_threads() -> int:
         raise ConfigurationError(f"ABLUM_THREADS must be an integer, got {raw!r}") from None
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=Path, default=None, help="config file (INI)")
-    common.add_argument("--seed", type=int, default=None, help="override the config seed")
-    common.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-    common.add_argument("--reps", type=int, default=None, help="override replication count")
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker pool size (default: ABLUM_THREADS or 1)",
-    )
+_OPTIONS = {
+    "--config": dict(type=Path, help="config file (INI)"),
+    "--seed": dict(type=int, help="override the config seed"),
+    "--out": dict(type=Path, default=Path("out"), help="output directory"),
+    "--reps": dict(type=int, help="override replication count"),
+    "--threads": dict(type=int, help="worker pool size (default: ABLUM_THREADS or 1)"),
+    "--n-base": dict(type=int, help="base sample count"),
+    "--second-order": dict(action="store_true", default=None, help="estimate pairwise indices"),
+    "--map": dict(type=Path, required=True, help="map CSV to read"),
+    "--connectivity": dict(type=int, choices=(4, 8), default=4, help="patch adjacency rule"),
+}
 
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ablum",
         description="Agent-based land-use simulation with a behavioural decision layer.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("run", parents=[common], help="single run (or replicates) to stability")
-    sub.add_parser("sweep", parents=[common], help="parameter grid sweep")
-    sub.add_parser("hysteresis", parents=[common], help="run a scheduled attitude ramp")
-
-    p_sobol = sub.add_parser("sobol", parents=[common], help="Sobol sensitivity campaign")
-    p_sobol.add_argument("--n-base", type=int, default=None, help="base sample count")
-    p_sobol.add_argument(
-        "--second-order", action="store_true", default=None, help="estimate pairwise indices"
-    )
-
-    sub.add_parser("landscape", parents=[common], help="emit the capital fields as CSV")
-
-    p_metrics = sub.add_parser(
-        "metrics", parents=[common], help="recompute metrics from a land-use map CSV"
-    )
-    p_metrics.add_argument("--map", type=Path, required=True, help="map CSV to read")
-    p_metrics.add_argument(
-        "--connectivity", type=int, choices=(4, 8), default=4, help="patch adjacency rule"
-    )
+    for name, (handler, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=handler.__doc__)
+        for flag in flags:
+            command.add_argument(flag, **_OPTIONS[flag])
     return parser
 
 
@@ -82,7 +68,7 @@ def _load(args) -> ExperimentConfig:
     config = load_config(args.config) if args.config is not None else ExperimentConfig()
     if args.seed is not None:
         config.seed = args.seed
-    if args.reps is not None:
+    if "reps" in args and args.reps is not None:
         if args.reps < 1:
             raise ConfigurationError("--reps must be at least 1")
         config.replications = args.reps
@@ -90,30 +76,27 @@ def _load(args) -> ExperimentConfig:
     return config
 
 
-def _metrics_row(result) -> tuple:
-    return result.run_id, result.seed, result.summary
-
-
-def _write_run_dir(out: Path, result) -> Path:
-    run_dir = out / result.run_id
-    run_dir.mkdir(parents=True, exist_ok=True)
-    fileio.write_trajectory_csv(run_dir / "trajectory.csv", result.trajectory)
-    fileio.write_map_csv(run_dir / "map.csv", result.state.grid)
-    fileio.write_metrics_csv(run_dir / "metrics.csv", [_metrics_row(result)])
-    return run_dir
+def _write_runs(out: Path, results: list) -> None:
+    """One directory per replicate, plus a combined metrics.csv for several."""
+    rows = [(result.run_id, result.seed, result.summary) for result in results]
+    for result, row in zip(results, rows):
+        run_dir = out / result.run_id
+        run_dir.mkdir(parents=True, exist_ok=True)
+        fileio.write_trajectory_csv(run_dir / "trajectory.csv", result.trajectory)
+        fileio.write_map_csv(run_dir / "map.csv", result.state.grid)
+        fileio.write_metrics_csv(run_dir / "metrics.csv", [row])
+    if len(rows) > 1:
+        fileio.write_metrics_csv(out / "metrics.csv", rows)
 
 
 def _cmd_run(args) -> int:
-    config = _load(args)
-    results = run_replicates(config, threads=args.threads)
-    for result in results:
-        _write_run_dir(args.out, result)
-    if len(results) > 1:
-        fileio.write_metrics_csv(args.out / "metrics.csv", map(_metrics_row, results))
+    """Single run (or replicates) to stability."""
+    _write_runs(args.out, run_replicates(_load(args), threads=args.threads))
     return 0
 
 
 def _cmd_sweep(args) -> int:
+    """Parameter grid sweep."""
     config = _load(args)
     sweep = config.sweep
     if sweep is None:
@@ -127,22 +110,26 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_hysteresis(args) -> int:
+    """Run a scheduled attitude ramp."""
     config = _load(args)
     if config.schedule is None:
         raise ConfigurationError("hysteresis command needs a [schedule] section in the config")
-    result = run_single(config)
-    _write_run_dir(args.out, result)
-    traj = result.trajectory
-    shares = (traj.share_c, traj.share_mi, traj.share_hi)
-    start, end = ("/".join(f"{share[i]:.3f}" for share in shares) for i in (0, -1))
-    drift = sum(abs(share[-1] - share[0]) for share in shares)
-    returns = traj.scheduled_attitude[-1] == traj.scheduled_attitude[0]
-    print(f"shares start -> end: {start} -> {end}")
-    print(f"L1 drift {drift:.3f}; scheduled attitude returns: {returns}")
+    # run_single per replicate, not run_replicates: perfbench traces cli.run_single by name
+    results = [run_single(config, rep) for rep in range(config.replications)]
+    _write_runs(args.out, results)
+    for result in results:
+        traj = result.trajectory
+        shares = (traj.share_c, traj.share_mi, traj.share_hi)
+        start, end = ("/".join(f"{share[i]:.3f}" for share in shares) for i in (0, -1))
+        drift = sum(abs(share[-1] - share[0]) for share in shares)
+        returns = traj.scheduled_attitude[-1] == traj.scheduled_attitude[0]
+        print(f"shares start -> end: {start} -> {end}")
+        print(f"L1 drift {drift:.3f}; scheduled attitude returns: {returns}")
     return 0
 
 
 def _cmd_sobol(args) -> int:
+    """Sobol sensitivity campaign."""
     config = _load(args)
     if args.n_base is None and config.sobol is None:
         raise ConfigurationError("sobol command needs --n-base or a [sobol] section")
@@ -165,6 +152,7 @@ def _cmd_sobol(args) -> int:
 
 
 def _cmd_landscape(args) -> int:
+    """Emit the capital fields as CSV."""
     config = _load(args)
     s_capital = seed_streams((config.seed, 0, 0)).capital
     c_prod, c_nat = generate_capitals(
@@ -183,6 +171,7 @@ def _cmd_landscape(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
+    """Recompute metrics from a land-use map CSV."""
     config = _load(args)
     width, height, aft_id = fileio.read_map_csv(args.map)
     summary = recompute_metrics(config, width, height, aft_id, connectivity=args.connectivity)
@@ -190,13 +179,14 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "run": _cmd_run,
-    "sweep": _cmd_sweep,
-    "hysteresis": _cmd_hysteresis,
-    "sobol": _cmd_sobol,
-    "landscape": _cmd_landscape,
-    "metrics": _cmd_metrics,
+_CAMPAIGN = ("--config", "--seed", "--out", "--reps", "--threads")
+_COMMANDS = {  # name: (handler, whose docstring is its help, the flags it reads)
+    "run": (_cmd_run, _CAMPAIGN),
+    "sweep": (_cmd_sweep, _CAMPAIGN),
+    "hysteresis": (_cmd_hysteresis, ("--config", "--seed", "--out", "--reps")),
+    "sobol": (_cmd_sobol, (*_CAMPAIGN, "--n-base", "--second-order")),
+    "landscape": (_cmd_landscape, ("--config", "--seed", "--out")),
+    "metrics": (_cmd_metrics, ("--config", "--seed", "--map", "--connectivity")),
 }
 
 
@@ -207,9 +197,9 @@ def cli_entry(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.threads is None:
+        if "threads" in args and args.threads is None:
             args.threads = _default_threads()
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except (ConfigurationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -220,3 +210,7 @@ def cli_entry(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(cli_entry())
+
+
+if __name__ == "__main__":
+    main()

@@ -17,6 +17,7 @@ from scipy.stats import qmc
 from .errors import ConfigurationError, DegenerateVarianceError
 
 _KINDS = ("continuous", "integer")
+N_BOOT = 100  # bootstrap resamples behind each confidence half-width
 
 
 @dataclass(frozen=True)
@@ -208,14 +209,13 @@ def _index_estimates(f_a, f_b, f_ab, f_ba, resamples: np.ndarray):
 def sobol_indices(
     design: SaltelliDesign,
     outputs: np.ndarray,
-    n_boot: int = 100,
     seed: int | np.random.SeedSequence = 0,
 ) -> SobolIndices:
     """Sobol indices for one output vector evaluated on the design's rows.
 
-    Confidence half-widths are 1.96 times the bootstrap standard deviation
-    over resampled base indices; a resample whose outputs have no variance
-    contributes NaN, which the deviation skips.
+    Confidence half-widths are 1.96 times the standard deviation over
+    N_BOOT bootstrap resamples of the base indices; a resample whose outputs
+    have no variance contributes NaN, which the deviation skips.
     """
     outputs = np.asarray(outputs, dtype=np.float64)
     centred = outputs - outputs.mean()
@@ -227,7 +227,7 @@ def sobol_indices(
         raise DegenerateVarianceError("outputs have no variance; indices are undefined")
 
     rng = np.random.default_rng(seed)
-    _, boot_s1, boot_st, boot_s2 = _index_estimates(*blocks, rng.integers(0, n, (n_boot, n)))
+    _, boot_s1, boot_st, boot_s2 = _index_estimates(*blocks, rng.integers(0, n, (N_BOOT, n)))
     z = 1.96
     s2_full = s2_conf = None
     if s2 is not None:

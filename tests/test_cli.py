@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +54,24 @@ class TestUsageErrors:
     def test_help_exits_zero(self, capsys):
         assert entry("--help") == 0
         assert entry("run", "--help") == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["landscape", "--reps", "2"],
+            ["landscape", "--threads", "2"],
+            ["metrics", "--map", "m.csv", "--out", "x"],
+            ["metrics", "--map", "m.csv", "--reps", "2"],
+            ["metrics", "--map", "m.csv", "--threads", "2"],
+            ["hysteresis", "--threads", "2"],
+        ],
+        ids=" ".join,
+    )
+    def test_flag_the_command_does_not_read(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert entry(*argv) == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConfigErrors:
@@ -142,6 +163,10 @@ class TestRun:
         monkeypatch.setenv("ABLUM_THREADS", "two")
         assert entry("run", "--config", small_cfg, "--threads", "1", "--out", tmp_path) == 0
 
+    def test_threads_env_read_only_by_commands_with_threads(self, small_cfg, tmp_path, monkeypatch):
+        monkeypatch.setenv("ABLUM_THREADS", "two")
+        assert entry("landscape", "--config", small_cfg, "--out", tmp_path / "out") == 0
+
 
 class TestSweep:
     def test_needs_sweep_section(self, small_cfg, tmp_path):
@@ -194,6 +219,28 @@ class TestHysteresis:
             "L1 drift 0.420; scheduled attitude returns: True",
         ]
         assert len((out / "run_s3_r0" / "trajectory.csv").read_text().splitlines()) == 1 + 17
+
+    def test_reps_write_the_files_of_run(self, tmp_path, capsys):
+        cfg = tmp_path / "h.cfg"
+        cfg.write_text(TestGoldenBytes.CONFIGS["hysteresis"])
+        ramp, run = tmp_path / "ramp", tmp_path / "run"
+        assert entry("hysteresis", "--config", cfg, "--reps", "2", "--out", ramp) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert entry("run", "--config", cfg, "--reps", "2", "--out", run) == 0
+        digests = TestGoldenBytes._digests(ramp)
+        assert digests == TestGoldenBytes._digests(run)
+        assert sorted(digests) == sorted(TestGoldenBytes.DIGESTS["run"])
+        assert [line.split()[0] for line in printed] == ["shares", "L1"] * 2
+        assert printed[:2] != printed[2:]
+
+    def test_config_replications(self, tmp_path):
+        cfg = tmp_path / "h.cfg"
+        cfg.write_text(
+            TestGoldenBytes.CONFIGS["hysteresis"].replace("seed = 3", "seed = 3\nreplications = 2")
+        )
+        out = tmp_path / "out"
+        assert entry("hysteresis", "--config", cfg, "--out", out) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["metrics.csv", "run_s3_r0", "run_s3_r1"]
 
     def test_trajectory_has_schedule_column(self, tmp_path):
         cfg = tmp_path / "h.cfg"
@@ -370,6 +417,25 @@ class TestConsoleScript:
         proc = subprocess.run(["ablum", "--help"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert "run" in proc.stdout and "sobol" in proc.stdout
+
+    @staticmethod
+    def _module(*argv, cwd):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        return subprocess.run(
+            [sys.executable, "-m", *map(str, argv)], capture_output=True, text=True, cwd=cwd, env=env
+        )
+
+    def test_python_m_ablum(self, small_cfg, tmp_path):
+        proc = self._module("ablum", "run", "--config", small_cfg, "--out", "d", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "d" / "run_s3_r0" / "map.csv").is_file()
+
+    def test_python_m_ablum_cli_help(self, tmp_path):
+        proc = self._module("ablum.cli", "--help", cwd=tmp_path)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: ablum ")
 
 
 class TestGoldenBytes:
