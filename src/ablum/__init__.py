@@ -94,6 +94,7 @@ from .metrics import (
 )
 from .network import (
     SocialNetwork,
+    TeleconnectedNetwork,
     add_teleconnections,
     build_lattice,
     neighbour_intensity_fraction,

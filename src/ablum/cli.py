@@ -21,13 +21,13 @@ from .config import ExperimentConfig, SobolSettings, load_config
 from .errors import ConfigurationError
 from .experiments import (
     recompute_metrics,
+    run_capitals,
     run_replicates,
     run_single,
     run_sobol,
     run_sweep,
-    seed_streams,
 )
-from .landscape import LandscapeGrid, generate_capitals
+from .landscape import LandscapeGrid
 
 
 def _default_threads() -> int:
@@ -154,10 +154,7 @@ def _cmd_sobol(args) -> int:
 def _cmd_landscape(args) -> int:
     """Emit the capital fields as CSV."""
     config = _load(args)
-    s_capital = seed_streams((config.seed, 0, 0)).capital
-    c_prod, c_nat = generate_capitals(
-        config.grid_width, config.grid_height, config.peaks, config.noise_amp, s_capital
-    )
+    c_prod, c_nat = run_capitals(config, (config.seed, 0, 0))
     grid = LandscapeGrid(
         config.grid_width,
         config.grid_height,

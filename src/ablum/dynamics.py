@@ -24,12 +24,14 @@ from .behaviour import BehaviourGlobals, BehaviouralProfile, _giving_in, _influe
 from .errors import ConfigurationError
 from .landscape import DEFAULT_AFTS, INTENSITY, S_NAT, S_PROD, AgentFunctionalType, Cell, LandscapeGrid
 from .metrics import Trajectory, total_supply
-from .network import SocialNetwork
+from .network import Network, SocialNetwork
 
 # Fraction of cells reconsidering their management each tick.
 UPDATE_FRACTION = 0.05
 
 _N_TYPES = len(DEFAULT_AFTS)
+# Rows per block when counting neighbour classes over a whole network.
+_ROW_BLOCK = 1024
 # Row i, column j: whether type j's intensity is at or above (below) type i's.
 _AT_OR_ABOVE = INTENSITY[None, :] >= INTENSITY[:, None]
 _AT_OR_BELOW = INTENSITY[None, :] <= INTENSITY[:, None]
@@ -102,7 +104,7 @@ class SimulationState:
     """Everything a run needs: landscape, network, behaviour, demand, RNG."""
 
     grid: LandscapeGrid
-    network: SocialNetwork
+    network: Network
     behaviour_globals: BehaviourGlobals
     demand: DemandState
     rng: np.random.Generator
@@ -139,56 +141,54 @@ def _join(parts: list[np.ndarray]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _join_cells(values: list, n_cells: np.ndarray) -> np.ndarray:
-    """One parameter over the batch cells: a 0-d array when every run has
-    the same scalar, else one value per cell."""
-    if all(np.ndim(v) == 0 for v in values) and len({float(v) for v in values}) == 1:
-        return np.asarray(values[0], dtype=np.float64)
+def _join_param(values: list, n_cells: np.ndarray) -> np.ndarray:
+    """One parameter over the batch: a 0-d array when every run has the same
+    scalar, one value per run when each run has a scalar, else one value per
+    batch cell."""
+    if all(np.ndim(v) == 0 for v in values):
+        if len({float(v) for v in values}) == 1:
+            return np.asarray(values[0], dtype=np.float64)
+        return np.array(values, dtype=np.float64)
     return _join([np.broadcast_to(v, n) for v, n in zip(values, n_cells)])
 
 
-def _join_networks(nets: list[SocialNetwork], offsets: np.ndarray) -> SocialNetwork:
-    """The networks as one block-diagonal CSR over the batch cells."""
-    if len(nets) == 1:
-        return nets[0]
-    edge_offsets = np.cumsum([0] + [net.indices.size for net in nets])
-    indptr = [net.indptr[:-1] + e for net, e in zip(nets, edge_offsets)]
-    # Batch cells number far below 2**31, so 32-bit indices halve the copy.
-    indices = [net.indices + o for net, o in zip(nets, offsets)]
-    return SocialNetwork(
-        n_cells=int(offsets[-1]),
-        indptr=np.concatenate(indptr + [edge_offsets[-1:]]),
-        indices=np.concatenate(indices, dtype=np.int32),
-    )
-
-
-def _neighbours(net: SocialNetwork, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Neighbours of the given cells, concatenated, and their counts per cell."""
-    starts = net.indptr[cells]
-    lens = net.indptr[cells + 1] - starts
-    first = np.cumsum(lens) - lens
-    return net.indices[np.repeat(starts - first, lens) + np.arange(int(lens.sum()))], lens
+def _gather(indices: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The runs ``indices[starts[k]:ends[k]]``, concatenated, and k for each
+    entry."""
+    lens = ends - starts
+    at = np.repeat(np.arange(lens.size), lens)
+    positions = np.arange(at.size)
+    positions += (starts - np.cumsum(lens) + lens)[at]
+    return indices[positions], at
 
 
 def _class_counts(net: SocialNetwork, aft_id: np.ndarray) -> np.ndarray:
     """(n_cells, _N_TYPES) counts of each class among every cell's neighbours."""
-    keys = np.repeat(np.arange(net.n_cells), np.diff(net.indptr))
-    keys *= _N_TYPES
-    keys += aft_id[net.indices]
-    counts = np.bincount(keys, minlength=net.n_cells * _N_TYPES).astype(np.int32)
-    return counts.reshape(net.n_cells, _N_TYPES)
+    counts = np.empty((net.n_cells, _N_TYPES), dtype=np.int32)
+    # Blocks of rows bound the temporaries on the largest lattices.
+    for lo in range(0, net.n_cells, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, net.n_cells)
+        keys = np.repeat(np.arange(hi - lo), np.diff(net.indptr[lo : hi + 1])) * _N_TYPES
+        keys += aft_id[net.indices[net.indptr[lo] : net.indptr[hi]]]
+        counts[lo:hi] = np.bincount(keys, minlength=(hi - lo) * _N_TYPES).reshape(-1, _N_TYPES)
+    return counts
 
 
 class Lockstep:
     """B independent runs advanced together, one `tick` for all of them.
 
     Run b's cell i is batch cell ``offsets[b] + i``. Land use, capitals and
-    decision parameters (``params``) are joined along that index, and the B
-    networks into one block-diagonal CSR, so a tick decides for every run in
-    one set of array operations. Each run's ``grid.aft_id`` becomes a view of the joined
-    land use, so a commit updates every run in place. Commits also keep
-    ``class_counts`` (each run's cells per class) and ``neighbour_counts``
-    (each cell's neighbours per class) current.
+    decision parameters (``params``) are joined along that index, so a tick
+    decides for every run in one set of array operations. Each run's
+    ``grid.aft_id`` becomes a view of the joined land use, so a commit
+    updates every run in place. Commits also keep ``class_counts`` (each
+    run's cells per class) and ``neighbour_counts`` (each cell's neighbours
+    per class) current.
+
+    Networks are never copied per run: the batch keeps each distinct lattice
+    once (``lattices``; run b uses ``lattices[lattice_of[b]]``) and joins only
+    the runs' teleconnections, as directed batch-cell pairs sorted by source
+    (``tele_src``, ``tele_dst``).
 
     Runs keep their own generator, demand and supply. A tick draws only the
     runs in ``live`` (ascending). ``supply[b]`` is run b's (material,
@@ -200,6 +200,7 @@ class Lockstep:
             raise ConfigurationError("a batch needs at least one run")
         self.states = list(states)
         grids = [s.grid for s in self.states]
+        nets = [s.network for s in self.states]
         self.n_cells = np.array([g.n_cells for g in grids])
         self.offsets = np.concatenate([[0], np.cumsum(self.n_cells)])
         self.draws = np.array([selection_count(n) for n in self.n_cells])
@@ -210,18 +211,31 @@ class Lockstep:
         self.c_prod = _join([g.c_prod for g in grids])
         self.c_nat = _join([g.c_nat for g in grids])
         self.params = {
-            f.name: _join_cells([getattr(g.profiles, f.name) for g in grids], self.n_cells)
+            f.name: _join_param([getattr(g.profiles, f.name) for g in grids], self.n_cells)
             for f in fields(BehaviouralProfile)
         }
-        self.params["logistic_k"] = _join_cells(
+        self.params["logistic_k"] = _join_param(
             [s.behaviour_globals.logistic_k for s in self.states], self.n_cells
         )
         economic = np.array([s.economic_baseline for s in self.states])
-        self.economic = np.repeat(economic, self.n_cells) if economic.any() else None
-        self.network = _join_networks([s.network for s in self.states], self.offsets)
-        self.degree = np.diff(self.network.indptr)
+        self.economic = economic if economic.any() else None
+
+        distinct = {id(net.lattice): net.lattice for net in nets}
+        self.lattices = list(distinct.values())
+        self.lattice_of = np.array([list(distinct).index(id(net.lattice)) for net in nets])
+        lattice_degrees = [np.diff(lattice.indptr) for lattice in self.lattices]
+        self.degree = _join([lattice_degrees[g] for g in self.lattice_of])
+        self.neighbour_counts = _join(
+            [_class_counts(net.lattice, g.aft_id) for net, g in zip(nets, grids)]
+        )
+        # Both directions of every teleconnection, as batch cells sorted by source.
+        lo, hi = np.concatenate([net.tele + o for net, o in zip(nets, self.offsets)]).T
+        src, dst = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+        order = np.argsort(src, kind="stable")
+        self.tele_src, self.tele_dst = src[order], dst[order]
+        np.add.at(self.degree, src, 1)
+        np.add.at(self.neighbour_counts.reshape(-1), src * _N_TYPES + self.aft_id[dst], 1)
         self.class_counts = np.array([np.bincount(g.aft_id, minlength=_N_TYPES) for g in grids])
-        self.neighbour_counts = _join([_class_counts(s.network, s.grid.aft_id) for s in self.states])
         self.demand = np.array([(s.demand.d_mat, s.demand.d_nm) for s in self.states])
         self.supply = np.zeros((len(self.states), 2))
         self.stale = np.ones(len(self.states), dtype=bool)
@@ -230,7 +244,7 @@ class Lockstep:
     def refresh_supply(self, runs: np.ndarray) -> None:
         """Recompute the supply of the given runs where a commit made it
         stale, into ``supply`` and into each run's demand state."""
-        for b in runs[self.stale[runs]]:
+        for b in runs[self.stale[runs]].tolist():
             demand = self.states[b].demand
             demand.s_mat, demand.s_nm = self.supply[b] = total_supply(self.states[b].grid)
         self.stale[runs] = False
@@ -238,17 +252,41 @@ class Lockstep:
     def refresh_attitude(self) -> None:
         """Re-join the attitudes after a schedule changed some of them."""
         attitudes = [s.grid.profiles.attitude for s in self.states]
-        self.params["attitude"] = _join_cells(attitudes, self.n_cells)
+        self.params["attitude"] = _join_param(attitudes, self.n_cells)
+
+    def neighbours(self, cells: np.ndarray, runs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Neighbours of the given batch cells of the given runs, concatenated,
+        and for each neighbour the position in ``cells`` of the cell it
+        neighbours."""
+        offset = self.offsets[runs]
+        rows = cells - offset
+        if len(self.lattices) == 1:
+            (lattice,) = self.lattices
+            nb, at = _gather(lattice.indices, lattice.indptr[rows], lattice.indptr[rows + 1])
+        else:
+            parts = []
+            for g, lattice in enumerate(self.lattices):
+                mine = np.flatnonzero(self.lattice_of[runs] == g)
+                mine_rows = rows[mine]
+                nb, at = _gather(lattice.indices, lattice.indptr[mine_rows], lattice.indptr[mine_rows + 1])
+                parts.append((nb, mine[at]))
+            nb, at = (np.concatenate(p) for p in zip(*parts))
+        nb += offset[at]
+        if self.tele_src.size:
+            bounds = np.searchsorted(self.tele_src, cells), np.searchsorted(self.tele_src, cells, "right")
+            tele_nb, tele_at = _gather(self.tele_dst, *bounds)
+            nb, at = np.concatenate([nb, tele_nb]), np.concatenate([at, tele_at])
+        return nb, at
 
     def commit(self, cells: np.ndarray, old: np.ndarray, new: np.ndarray) -> None:
         """Switch cells from their old to their new class, all at once."""
         self.aft_id[cells] = new
-        nb, lens = _neighbours(self.network, cells)
-        keys = nb * _N_TYPES
-        changes = np.concatenate([keys + np.repeat(old, lens), keys + np.repeat(new, lens)])
-        signs = np.repeat(np.array([-1, 1], dtype=np.int32), keys.size)
-        np.add.at(self.neighbour_counts.reshape(-1), changes, signs)
         runs = np.searchsorted(self.offsets, cells, side="right") - 1
+        nb, at = self.neighbours(cells, runs)
+        nb *= _N_TYPES
+        # int32 steps, matching the counts, keep ufunc.at on its fast path.
+        np.add.at(self.neighbour_counts.reshape(-1), nb + old[at], np.int32(-1))
+        np.add.at(self.neighbour_counts.reshape(-1), nb + new[at], np.int32(1))
         np.add.at(self.class_counts, (runs, old), -1)
         np.add.at(self.class_counts, (runs, new), 1)
         self.stale[runs] = True
@@ -296,7 +334,14 @@ def tick(state: SimulationState | Lockstep) -> TickReport:
         p_ge = (_AT_OR_ABOVE @ counts) / deg
         p_le = (_AT_OR_BELOW @ counts) / deg
 
-    params = {name: v[sel] if v.ndim else v for name, v in batch.params.items()}
+    # Per-run values have one entry per run, per-cell values one per batch
+    # cell; a batch never has more runs than cells, and if as many, the two
+    # indexings agree.
+    run_of = np.repeat(live, draws)
+    params = {
+        name: v[run_of if v.size == len(batch.states) else sel] if v.ndim else v
+        for name, v in batch.params.items()
+    }
     delta = INTENSITY[:, None] - INTENSITY[inc]
     intensifying = delta > 0
     p = np.where(intensifying, p_ge, p_le)
@@ -308,7 +353,7 @@ def tick(state: SimulationState | Lockstep) -> TickReport:
     )
     git = _giving_in(params["git_upper"], params["logistic_k"], x)
     if batch.economic is not None:
-        git = np.where(batch.economic[sel], 0.0, git)
+        git = np.where(batch.economic[run_of], 0.0, git)
     surplus = utilities - u_inc
     admissible = (np.arange(_N_TYPES)[:, None] != inc) & (surplus > git)
     score = np.where(admissible, surplus - git, -np.inf)
@@ -356,11 +401,6 @@ class StopRule:
         return self.max_ticks
 
 
-def _window_settled(values: list[float], window: int, epsilon: float) -> bool:
-    tail = values[-(window + 1) :]
-    return max(tail) - min(tail) < epsilon
-
-
 def run_lockstep(
     states: Sequence[SimulationState],
     rules: Sequence[StopRule | AttitudeSchedule],
@@ -371,6 +411,14 @@ def run_lockstep(
     the schedule's full span, re-applying attitudes every tick. A run that
     has ended stops being drawn. Every run's trajectory and final state are
     exactly those it gets when run on its own.
+
+    Each step records one block of rows, one per live run; the trajectories
+    are cut from the blocks at the end. Run b keeps the shares of its latest
+    ``window + 1`` steps in ``recent[b]``, step s in column s % (window + 1),
+    so one max-minus-min over those columns decides settling for every live
+    run at once. Every column starts at step 0's shares, which belong to the
+    trailing window for as long as fewer steps have been taken; columns past
+    a run's window hold NaN, which the reductions skip.
     """
     if len(rules) != len(states):
         raise ConfigurationError("need one stopping rule per run")
@@ -378,48 +426,69 @@ def run_lockstep(
     for b, schedule in schedules.items():
         apply_attitude_schedule(states[b], schedule)
     batch = Lockstep(states)
-    attitude = [float(np.mean(s.grid.profiles.attitude)) for s in states]
-    rows: list[list[tuple]] = [[] for _ in states]
-    shares: list[tuple[list[float], ...]] = [([], [], []) for _ in states]
+    scheduled = np.array([b in schedules for b in range(len(states))])
+    first_tick = np.array([s.tick for s in states])
+    window = np.array([0 if b in schedules else r.window for b, r in enumerate(rules)])
+    epsilon = np.array([0.0 if b in schedules else r.epsilon for b, r in enumerate(rules)])
+    # Steps at which each run reaches its last tick, and may settle: at tick
+    # window, and never for a scheduled run.
+    last_step = np.array([r.last_tick for r in rules]) - first_tick
+    settle_step = np.where(scheduled, np.inf, window - first_tick)
+    recent = np.full((len(states), 3, window.max() + 1), np.nan)
+    # Columns mean_attitude and scheduled_attitude (NaN for unscheduled runs).
+    attitudes = np.full((len(states), 2), np.nan)
+    attitudes[:, 0] = [np.mean(s.grid.profiles.attitude) for s in states]
+    blocks: list[tuple[np.ndarray, np.ndarray]] = []
 
-    def record(runs: np.ndarray) -> None:
+    def record(runs: np.ndarray, step: int) -> None:
         # The supply recorded after a tick is the next tick's pre-tick supply.
         batch.refresh_supply(runs)
-        fractions = (batch.class_counts[runs, :3] / batch.n_cells[runs, None]).tolist()
-        for b, share, supply in zip(runs.tolist(), fractions, batch.supply[runs].tolist()):
-            state = states[b]
-            scheduled = ()
-            if b in schedules:
-                attitude[b] = float(np.mean(state.grid.profiles.attitude))
-                scheduled = (schedules[b].mean_at(state.tick),)
-            rows[b].append((state.tick, *share, *supply, attitude[b], *scheduled))
-            for col, value in zip(shares[b], share):
-                col.append(value)
+        shares = batch.class_counts[runs] / batch.n_cells[runs, None]
+        recent[runs, :, step % (window[runs] + 1)] = shares
+        for b in runs[scheduled[runs]].tolist() if schedules else ():
+            attitudes[b] = np.mean(states[b].grid.profiles.attitude), schedules[b].mean_at(states[b].tick)
+        blocks.append((runs, np.concatenate([shares, batch.supply[runs], attitudes[runs]], axis=1)))
 
-    def ended(b: int) -> bool:
-        rule, now = rules[b], states[b].tick
-        if now >= rule.last_tick:
-            return True
-        return (
-            b not in schedules
-            and now >= rule.window
-            and all(_window_settled(col, rule.window, rule.epsilon) for col in shares[b])
-        )
+    def ended(runs: np.ndarray, step: int) -> np.ndarray:
+        done = last_step[runs] <= step
+        check = settle_step[runs] <= step
+        if check.any():
+            shares = recent[runs]
+            moved = np.fmax.reduce(shares, axis=2) - np.fmin.reduce(shares, axis=2)
+            done |= check & (moved < epsilon[runs, None]).all(axis=1)
+        return done
 
-    runs = np.arange(len(states))
-    record(runs)
-    live = [b for b in runs.tolist() if states[b].tick < rules[b].last_tick]
-    while live:
-        batch.live = np.array(live)
+    live = np.arange(len(states))
+    record(live, 0)
+    # Step 0's shares fill each run's window columns; the rest stay NaN.
+    recent[...] = np.where(np.arange(recent.shape[2]) <= window[:, None, None], recent[:, :, :1], np.nan)
+    live = live[last_step > 0]
+    step = 0
+    while live.size:
+        batch.live = live
         tick(batch)
-        stepped = [b for b in live if b in schedules]
+        step += 1
+        stepped = live[scheduled[live]].tolist() if schedules else ()
         for b in stepped:
             apply_attitude_schedule(states[b], schedules[b])
         if stepped:
             batch.refresh_attitude()
-        record(batch.live)
-        live = [b for b in live if not ended(b)]
-    return [Trajectory.from_rows(rows[b]) for b in runs.tolist()]
+        record(live, step)
+        live = live[~ended(live, step)]
+
+    runs = np.concatenate([r for r, _ in blocks])
+    order = np.argsort(runs, kind="stable")
+    ticks = (first_tick[runs] + np.repeat(np.arange(len(blocks)), [r.size for r, _ in blocks]))[order]
+    values = np.concatenate([rows.T for _, rows in blocks], axis=1)[:, order]
+    ends = np.cumsum(np.bincount(runs, minlength=len(states)))
+    return [
+        Trajectory(
+            ticks[lo:hi],
+            *values[:6, lo:hi],
+            scheduled_attitude=values[6, lo:hi] if b in schedules else None,
+        )
+        for b, (lo, hi) in enumerate(zip(ends - np.diff(ends, prepend=0), ends))
+    ]
 
 
 def run_until_stable(

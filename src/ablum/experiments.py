@@ -50,10 +50,11 @@ from .sensitivity import (
     sobol_indices,
 )
 
-# Cells per lockstep batch of a campaign. A 101x101 run (10,201 cells) always
-# runs alone; 25x25 runs (625 cells) go 19 at a time. Larger batches add
-# memory (each run keeps its own network) faster than they save time.
-CELL_BUDGET = 12_288
+# Cells per lockstep batch of a campaign: 160 runs of 25x25 (a whole
+# sobol_screen design) or 9 of 101x101. Runs share one lattice per shape and
+# keep only their teleconnections, so memory grows with the cells, and a
+# budget of 262,144 (a whole 25-run 101x101 sweep) cost 11% more peak RSS.
+CELL_BUDGET = 100_000
 
 
 class SeedStreams(NamedTuple):
@@ -73,6 +74,13 @@ def seed_streams(master: np.random.SeedSequence | tuple[int, ...]) -> SeedStream
     if not isinstance(master, np.random.SeedSequence):
         master = np.random.SeedSequence(master)
     return SeedStreams(*master.spawn(len(SeedStreams._fields)))
+
+
+def run_capitals(config: ExperimentConfig, key: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The capital fields of the run with this seed key, as its build draws them."""
+    return generate_capitals(
+        config.grid_width, config.grid_height, config.peaks, config.noise_amp, seed_streams(key).capital
+    )
 
 
 def _build_profiles(config: ExperimentConfig, n: int, seed_seq) -> tuple[BehaviouralProfile, np.ndarray]:
@@ -108,20 +116,18 @@ def _build_profiles(config: ExperimentConfig, n: int, seed_seq) -> tuple[Behavio
 
 def build_state(
     config: ExperimentConfig,
-    master: np.random.SeedSequence | tuple[int, ...] | None = None,
+    key: tuple[int, ...] | None = None,
     lattices: dict[tuple[int, int, int], SocialNetwork] | None = None,
 ) -> SimulationState:
-    """Assemble a ready-to-run simulation; the master seed (or its key)
-    splits into the streams of SeedStreams.
+    """Assemble a ready-to-run simulation; the seed key's master seed splits
+    into the streams of SeedStreams.
 
     ``lattices`` maps (width, height, radius) to a built lattice; the runs
     of one batch share it, and a missing lattice is built and added.
     """
-    streams = seed_streams(master if master is not None else (config.seed, 0))
-
-    c_prod, c_nat = generate_capitals(
-        config.grid_width, config.grid_height, config.peaks, config.noise_amp, streams.capital
-    )
+    key = key if key is not None else (config.seed, 0)
+    streams = seed_streams(key)
+    c_prod, c_nat = run_capitals(config, key)
     n = config.grid_width * config.grid_height
     aft_id = init_land_use(n, config.shares, streams.init)
     profiles, attitude_offsets = _build_profiles(config, n, streams.profiles)
@@ -164,12 +170,15 @@ def _stop_rule(config: ExperimentConfig) -> StopRule | AttitudeSchedule:
     return StopRule(config.max_ticks, config.window, config.epsilon)
 
 
-def _batches(jobs: list) -> list[list]:
-    """Consecutive jobs grouped up to CELL_BUDGET cells; a larger run goes alone."""
-    batches, cells = [], CELL_BUDGET
-    for job in jobs:
-        n = job[0].grid_width * job[0].grid_height
-        if cells + n > CELL_BUDGET:
+def _batches(jobs: list, threads: int = 1) -> list[list]:
+    """Consecutive jobs grouped up to CELL_BUDGET cells, and up to an even
+    share of all cells over ``threads`` workers, so that each worker gets a
+    batch; a larger run goes alone."""
+    sizes = [config.grid_width * config.grid_height for config, _ in jobs]
+    cap = min(CELL_BUDGET, -(-sum(sizes) // max(threads, 1)))
+    batches, cells = [], cap
+    for job, n in zip(jobs, sizes):
+        if cells + n > cap:
             batches.append([])
             cells = 0
         batches[-1].append(job)
@@ -183,7 +192,6 @@ def _run_batch(args) -> list:
     jobs, finish = args
     lattices: dict = {}
     states = [build_state(config, key, lattices) for config, key in jobs]
-    del lattices  # runs with teleconnections no longer need theirs
     trajectories = run_lockstep(states, [_stop_rule(config) for config, _ in jobs])
     return [finish(c, key, s, t) for (c, key), s, t in zip(jobs, states, trajectories)]
 
@@ -191,7 +199,7 @@ def _run_batch(args) -> list:
 def _run_jobs(jobs: list, finish, threads: int) -> list:
     """Results of every (config, seed key) job, in job order; batches are
     spread over ``threads`` worker processes."""
-    batches = [(batch, finish) for batch in _batches(jobs)]
+    batches = [(batch, finish) for batch in _batches(jobs, threads)]
     return [r for results in _parallel_map(_run_batch, batches, threads) for r in results]
 
 
@@ -334,8 +342,7 @@ def recompute_metrics(
             f"map is {width}x{height} but config grid is "
             f"{config.grid_width}x{config.grid_height}"
         )
-    s_capital = seed_streams((config.seed, 0, rep)).capital
-    c_prod, c_nat = generate_capitals(width, height, config.peaks, config.noise_amp, s_capital)
+    c_prod, c_nat = run_capitals(config, (config.seed, 0, rep))
     grid = LandscapeGrid(width, height, c_prod, c_nat, aft_id)
     return RunSummary(
         *intensity_shares(grid).values(),

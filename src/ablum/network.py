@@ -1,23 +1,32 @@
 """Social network over grid cells: Moore lattice plus long-range links.
 
 The lattice connects every pair of cells within a Chebyshev radius, with hard
-boundaries (no wrap-around). Long-range links are extra undirected edges
-between uniformly sampled non-adjacent cell pairs, layered on top of the
-lattice. Networks are immutable once built; augmentation returns a new one.
+boundaries (no wrap-around). Long-range links (teleconnections) are extra
+undirected edges between uniformly sampled non-adjacent cell pairs, held as an
+overlay: runs of one grid and radius share one read-only lattice, and each
+keeps only its own pairs. Networks are immutable once built; augmentation
+returns a new one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigurationError, UndefinedFractionError
 
+_NO_PAIRS = np.empty((0, 2), dtype=np.int64)
+_NO_PAIRS.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class SocialNetwork:
-    """Undirected graph in CSR form; neighbour lists are sorted."""
+    """Undirected graph in CSR form; neighbour lists are sorted.
+
+    A plain CSR is its own lattice, with no teleconnections on top.
+    """
 
     n_cells: int
     indptr: np.ndarray
@@ -27,6 +36,14 @@ class SocialNetwork:
         # Runs in a campaign batch share one lattice, so its arrays are frozen.
         self.indptr.flags.writeable = False
         self.indices.flags.writeable = False
+
+    @property
+    def lattice(self) -> SocialNetwork:
+        return self
+
+    @property
+    def tele(self) -> np.ndarray:
+        return _NO_PAIRS
 
     @property
     def num_edges(self) -> int:
@@ -45,6 +62,74 @@ class SocialNetwork:
         src = np.repeat(np.arange(self.n_cells), np.diff(self.indptr))
         keep = src < self.indices
         return np.column_stack([src[keep], self.indices[keep]])
+
+    def has_edges(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Whether each edge (i, j) exists, by bisection within the sorted rows."""
+        lo, end = self.indptr[i], self.indptr[i + 1]
+        if self.indices.size == 0:
+            return np.zeros(lo.shape, dtype=bool)
+        hi, last = end, self.indices.size - 1
+        # Each step halves every row's open interval [lo, hi).
+        for _ in range(int(np.diff(self.indptr).max()).bit_length()):
+            mid = (lo + hi) // 2
+            less = self.indices[np.minimum(mid, last)] < j
+            lo, hi = np.where((lo < hi) & less, mid + 1, lo), np.where((lo < hi) & ~less, mid, hi)
+        return (lo < end) & (self.indices[np.minimum(lo, last)] == j)
+
+
+@dataclass(frozen=True)
+class TeleconnectedNetwork:
+    """A lattice, shared read-only by many runs, plus one run's teleconnections.
+
+    ``tele`` holds the added undirected edges as (i, j) rows with i < j, in
+    ascending order. The engine reads the two parts apart; the merged CSR
+    (``indptr``, ``indices``, ``neighbours``) is built on first use, for the
+    scalar decision functions.
+    """
+
+    lattice: SocialNetwork
+    tele: np.ndarray
+
+    def __post_init__(self):
+        self.tele.flags.writeable = False
+
+    @property
+    def n_cells(self) -> int:
+        return self.lattice.n_cells
+
+    @property
+    def num_edges(self) -> int:
+        return self.lattice.num_edges + len(self.tele)
+
+    @cached_property
+    def merged(self) -> SocialNetwork:
+        """Lattice and teleconnections as one CSR, each row sorted."""
+        n, lattice, (lo, hi) = self.n_cells, self.lattice, self.tele.T
+        src = np.concatenate([np.repeat(np.arange(n), np.diff(lattice.indptr)), lo, hi])
+        dst = np.concatenate([lattice.indices, hi, lo])
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        return SocialNetwork(n_cells=n, indptr=indptr, indices=dst[np.lexsort((dst, src))])
+
+    @property
+    def indptr(self) -> np.ndarray:
+        return self.merged.indptr
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self.merged.indices
+
+    def neighbours(self, i: int) -> np.ndarray:
+        return self.merged.neighbours(i)
+
+    def has_edge(self, i: int, j: int) -> bool:
+        return self.merged.has_edge(i, j)
+
+    def edge_pairs(self) -> np.ndarray:
+        return self.merged.edge_pairs()
+
+
+Network = SocialNetwork | TeleconnectedNetwork
 
 
 def build_lattice(width: int, height: int, moore_radius: int) -> SocialNetwork:
@@ -69,21 +154,22 @@ def build_lattice(width: int, height: int, moore_radius: int) -> SocialNetwork:
     x = np.arange(width)[:, None] + dx
     y = np.arange(height)[:, None] + dy
     inside = (((0 <= y) & (y < height))[:, None] & ((0 <= x) & (x < width))).reshape(n, -1)
-    indices = (np.arange(n, dtype=np.int64)[:, None] + (dy * width + dx))[inside]
+    # Built in 32 bits, then widened: half the peak memory of the largest lattices.
+    indices = (np.arange(n, dtype=np.int32)[:, None] + (dy * width + dx).astype(np.int32))[inside]
+    indices = indices.astype(np.int64)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(inside.sum(axis=1), out=indptr[1:])
     return SocialNetwork(n_cells=n, indptr=indptr, indices=indices)
 
 
-def add_teleconnections(
-    net: SocialNetwork, n_tele: int, seed: int | np.random.SeedSequence = 0
-) -> SocialNetwork:
+def add_teleconnections(net: Network, n_tele: int, seed: int | np.random.SeedSequence = 0) -> Network:
     """Add exactly n_tele new undirected edges between uniform random pairs.
 
     Candidate pairs (i, j) are drawn from a generator private to this call,
     so ``seed`` is a seed, not a shared Generator. Self-pairs, existing edges
     and repeats of an earlier candidate are rejected; the first n_tele
-    survivors in draw order are added. Deterministic for a given seed.
+    survivors in draw order are added. Deterministic for a given seed. The
+    result shares ``net``'s lattice and holds the new pairs beside net's own.
     """
     if n_tele < 0:
         raise ConfigurationError("n_tele must be >= 0")
@@ -97,8 +183,8 @@ def add_teleconnections(
     if n_tele == 0:
         return net
 
-    # Directed keys row * n + col; ascending because the rows are sorted.
-    old_keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(net.indptr)) * n + net.indices
+    # Undirected keys i * n + j, i < j; ascending because the pairs are sorted.
+    old = net.tele[:, 0] * n + net.tele[:, 1]
     rng = np.random.default_rng(seed)
     candidates = first = np.empty(0, dtype=np.int64)
     while first.size < n_tele:
@@ -108,26 +194,18 @@ def add_teleconnections(
         # private.
         m = (n_tele - first.size) * pairs // (available - first.size) * 11 // 10 + 16
         i, j = rng.integers(n, size=(m, 2)).T
-        keys = (np.minimum(i, j) * n + np.maximum(i, j))[i != j]
-        exists = np.searchsorted(old_keys, keys) < np.searchsorted(old_keys, keys, "right")
+        lo, hi = np.minimum(i, j)[i != j], np.maximum(i, j)[i != j]
+        keys = lo * n + hi
+        exists = net.lattice.has_edges(lo, hi) | np.isin(keys, old)
         candidates = np.concatenate([candidates, keys[~exists]])
         _, first = np.unique(candidates, return_index=True)
     new = candidates[np.sort(first)[:n_tele]]
-
-    # Merge both directions of the new edges into the already-sorted rows:
-    # the same CSR as a full re-sort, since the new pairs are distinct and
-    # absent from net.
-    lo, hi = np.divmod(new, n)
-    added = np.sort(np.concatenate([new, hi * n + lo]))
-    src, dst = np.divmod(added, n)
-    indices = np.insert(net.indices, np.searchsorted(old_keys, added), dst)
-    indptr = net.indptr.astype(np.int64)
-    indptr[1:] += np.cumsum(np.bincount(src, minlength=n))
-    return SocialNetwork(n_cells=n, indptr=indptr, indices=indices)
+    keys = np.sort(np.concatenate([old, new]))
+    return TeleconnectedNetwork(net.lattice, np.column_stack(np.divmod(keys, n)))
 
 
 def neighbour_intensity_fraction(
-    net: SocialNetwork,
+    net: Network,
     intensities: np.ndarray,
     i: int,
     level: float,

@@ -29,6 +29,7 @@ from ablum import (
     saltelli_sample,
     sweep_points,
 )
+from ablum import experiments
 
 
 def small_config(**overrides):
@@ -289,3 +290,13 @@ class TestRecomputeMetrics:
         cfg = small_config()
         with pytest.raises(ConfigurationError):
             recompute_metrics(cfg, 5, 5, np.zeros(25, dtype=np.int64))
+
+    def test_replicate_capitals_come_from_one_helper(self):
+        # a noisy replicate's map is priced with its own capitals
+        cfg = small_config(noise_amp=0.1, replications=2)
+        res = run_replicates(cfg)[1]
+        c_prod, c_nat = experiments.run_capitals(cfg, (cfg.seed, 0, 1))
+        assert np.array_equal(c_prod, res.state.grid.c_prod)
+        assert np.array_equal(c_nat, res.state.grid.c_nat)
+        summary = recompute_metrics(cfg, 9, 9, res.state.grid.aft_id, rep=1)
+        assert summary == replace(res.summary, stabilised_at=-1)

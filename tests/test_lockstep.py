@@ -6,6 +6,9 @@ must reproduce, bit for bit, what run_until_stable or run_schedule gives it
 on its own.
 """
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from ablum import (
     SweepParam,
     SweepSpec,
     apply_values,
+    build_lattice,
     build_state,
     evaluate_design,
     evaluate_transition,
@@ -36,7 +40,8 @@ from ablum import (
     utility,
 )
 from ablum import experiments
-from ablum.dynamics import AttitudeSchedule, Lockstep, run_lockstep
+from ablum.dynamics import AttitudeSchedule, Lockstep, apply_attitude_schedule, run_lockstep
+from ablum.metrics import Trajectory
 from ablum.sensitivity import ParameterDim, ParameterSpace
 
 
@@ -67,6 +72,60 @@ def run_alone(config, key):
     if config.schedule is not None:
         return run_schedule(state, AttitudeSchedule(config.schedule))
     return run_until_stable(state, config.max_ticks, config.window, config.epsilon)
+
+
+def lockstep_by_lists(states, rules):
+    """run_lockstep's bookkeeping as per-run Python lists: one row tuple per
+    run and tick, and settling decided run by run on the share lists."""
+    schedules = {b: r for b, r in enumerate(rules) if isinstance(r, AttitudeSchedule)}
+    for b, schedule in schedules.items():
+        apply_attitude_schedule(states[b], schedule)
+    batch = Lockstep(states)
+    attitude = [float(np.mean(s.grid.profiles.attitude)) for s in states]
+    rows = [[] for _ in states]
+    shares = [([], [], []) for _ in states]
+
+    def record(runs):
+        batch.refresh_supply(runs)
+        fractions = (batch.class_counts[runs, :3] / batch.n_cells[runs, None]).tolist()
+        for b, share, supply in zip(runs.tolist(), fractions, batch.supply[runs].tolist()):
+            state = states[b]
+            scheduled = ()
+            if b in schedules:
+                attitude[b] = float(np.mean(state.grid.profiles.attitude))
+                scheduled = (schedules[b].mean_at(state.tick),)
+            rows[b].append((state.tick, *share, *supply, attitude[b], *scheduled))
+            for col, value in zip(shares[b], share):
+                col.append(value)
+
+    def settled(values, window, epsilon):
+        tail = values[-(window + 1) :]
+        return max(tail) - min(tail) < epsilon
+
+    def ended(b):
+        rule, now = rules[b], states[b].tick
+        if now >= rule.last_tick:
+            return True
+        return (
+            b not in schedules
+            and now >= rule.window
+            and all(settled(col, rule.window, rule.epsilon) for col in shares[b])
+        )
+
+    runs = np.arange(len(states))
+    record(runs)
+    live = [b for b in runs.tolist() if states[b].tick < rules[b].last_tick]
+    while live:
+        batch.live = np.array(live)
+        tick(batch)
+        stepped = [b for b in live if b in schedules]
+        for b in stepped:
+            apply_attitude_schedule(states[b], schedules[b])
+        if stepped:
+            batch.refresh_attitude()
+        record(batch.live)
+        live = [b for b in live if not ended(b)]
+    return [Trajectory.from_rows(rows[b]) for b in runs.tolist()]
 
 
 def scalar_decisions(state, old_aft, selected):
@@ -139,6 +198,46 @@ class TestMixedBatch:
         assert ends[5] == configs[5].max_ticks
         assert ends[3] == 60
 
+    def test_trajectories_equal_the_list_bookkeeping(self):
+        # the array blocks and the batch-wide settling check give every run
+        # the rows, columns and dtypes of the per-run list loop they replace
+        configs = mixed_configs()
+        keys = [(cfg.seed, point, 0) for point, cfg in enumerate(configs)]
+        rules = [experiments._stop_rule(cfg) for cfg in configs]
+        got = run_lockstep([build_state(cfg, key) for cfg, key in zip(configs, keys)], rules)
+        want = lockstep_by_lists([build_state(cfg, key) for cfg, key in zip(configs, keys)], rules)
+        for a, b in zip(got, want):
+            assert_trajectories_equal(a, b)
+            if b.scheduled_attitude is not None:
+                assert a.scheduled_attitude.dtype == b.scheduled_attitude.dtype
+        # Three more runs: one never moves, so it settles exactly at its
+        # window; one moves by exactly epsilon (one cell of 64) inside some
+        # windows; one starts at tick 12, so it may settle before it has
+        # taken window + 1 steps.
+        extra = [
+            ExperimentConfig(grid_width=9, grid_height=9, max_ticks=50, window=7, epsilon=1.0, seed=2),
+            ExperimentConfig(
+                grid_width=8, grid_height=8, max_ticks=200, window=8, epsilon=1 / 64, seed=3,
+                demand_mat=30.0, demand_nm=30.0,
+            ),
+            ExperimentConfig(
+                grid_width=8, grid_height=8, max_ticks=200, window=20, epsilon=0.05, seed=6,
+                demand_mat=30.0, demand_nm=30.0,
+            ),
+        ]
+        rules = [experiments._stop_rule(c) for c in extra] + rules
+
+        def batch():
+            states = [build_state(c, (c.seed, 9 + i, 0)) for i, c in enumerate(extra)]
+            states[2].tick = 12
+            return states + [build_state(c, k) for c, k in zip(configs, keys)]
+
+        got, want = run_lockstep(batch(), rules), lockstep_by_lists(batch(), rules)
+        assert got[0].tick[-1] == extra[0].window
+        assert got[2].tick[0] == 12 and got[2].n_rows <= extra[2].window
+        for a, b in zip(got, want):
+            assert_trajectories_equal(a, b)
+
     def test_batched_ticks_match_the_scalar_api(self):
         # every decision of several consecutive batched ticks, re-derived
         # cell by cell through the scalar decision functions
@@ -203,6 +302,8 @@ class TestCampaignBatches:
         per_batch = experiments.CELL_BUDGET // 625
         batches = experiments._batches([(small, k) for k in range(2 * per_batch + 1)])
         assert [len(b) for b in batches] == [per_batch, per_batch, 1]
+        side = math.isqrt(experiments.CELL_BUDGET // 2) + 1
+        large = ExperimentConfig(grid_width=side, grid_height=side)
         assert [len(b) for b in experiments._batches([(large, 0), (large, 1)])] == [1, 1]
 
     def test_batched_replicates_equal_single_runs(self):
@@ -223,6 +324,38 @@ class TestCampaignBatches:
         for a, b in zip(serial, parallel):
             assert_trajectories_equal(a.trajectory, b.trajectory)
             assert np.array_equal(a.state.grid.aft_id, b.state.grid.aft_id)
+
+    def test_threads_get_a_batch_each(self):
+        # a campaign that fits one batch is still split over the workers
+        small = ExperimentConfig(grid_width=25, grid_height=25)
+        jobs = [(small, k) for k in range(10)]
+        assert [len(b) for b in experiments._batches(jobs)] == [10]
+        assert [len(b) for b in experiments._batches(jobs, threads=2)] == [5, 5]
+        assert [len(b) for b in experiments._batches(jobs, threads=3)] == [3, 3, 3, 1]
+        assert [len(b) for b in experiments._batches(jobs, threads=20)] == [1] * 10
+        cfg = mixed_configs()[1]
+        cfg.replications = 4
+        serial = run_replicates(cfg)
+        parallel = run_replicates(cfg, threads=2)
+        for a, b in zip(serial, parallel):
+            assert_trajectories_equal(a.trajectory, b.trajectory)
+            assert np.array_equal(a.state.grid.aft_id, b.state.grid.aft_id)
+
+    def test_batch_holds_no_per_run_network_copy(self):
+        # 64 runs share one radius-5 lattice; one CSR copy per run would
+        # alone take 64 times the lattice's indices
+        cfg = ExperimentConfig(grid_width=25, grid_height=25, moore_radius=5, n_tele=150)
+        lattice = build_lattice(25, 25, 5)
+        tracemalloc.start()
+        try:
+            states = [build_state(cfg, (cfg.seed, k, 0), {(25, 25, 5): lattice}) for k in range(64)]
+            batch = Lockstep(states)
+            tick(batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(s.network.lattice is lattice for s in states)
+        assert peak < 64 * lattice.indices.nbytes
 
     def test_design_rows_average_their_replicates(self):
         space = ParameterSpace(

@@ -12,12 +12,15 @@ from ablum import (
     ConfigurationError,
     ExperimentConfig,
     SocialNetwork,
+    TeleconnectedNetwork,
     UndefinedFractionError,
     add_teleconnections,
     build_lattice,
     build_state,
     neighbour_intensity_fraction,
+    tick,
 )
+from ablum.dynamics import Lockstep
 
 
 def csr_from_pairs(n_cells: int, src: np.ndarray, dst: np.ndarray) -> SocialNetwork:
@@ -72,6 +75,41 @@ def teleconnections_by_rejection(net, n_tele, seed):
     src = np.concatenate([np.repeat(np.arange(n), np.diff(net.indptr)), new_src])
     dst = np.concatenate([net.indices, new_dst])
     return csr_from_pairs(n, src.astype(np.int64), dst.astype(np.int64))
+
+
+def teleconnections_by_insert(net: SocialNetwork, n_tele: int, seed) -> SocialNetwork:
+    """The merged build the overlay replaced: every directed key of the whole
+    network, block draws against them, then both directions of the new edges
+    inserted into the sorted rows with np.insert."""
+    n = net.n_cells
+    pairs = n * (n - 1) // 2
+    available = pairs - net.num_edges
+    if n_tele == 0:
+        return net
+    old_keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(net.indptr)) * n + net.indices
+    rng = np.random.default_rng(seed)
+    candidates = first = np.empty(0, dtype=np.int64)
+    while first.size < n_tele:
+        m = (n_tele - first.size) * pairs // (available - first.size) * 11 // 10 + 16
+        i, j = rng.integers(n, size=(m, 2)).T
+        keys = (np.minimum(i, j) * n + np.maximum(i, j))[i != j]
+        exists = np.searchsorted(old_keys, keys) < np.searchsorted(old_keys, keys, "right")
+        candidates = np.concatenate([candidates, keys[~exists]])
+        _, first = np.unique(candidates, return_index=True)
+    new = candidates[np.sort(first)[:n_tele]]
+    lo, hi = np.divmod(new, n)
+    added = np.sort(np.concatenate([new, hi * n + lo]))
+    src, dst = np.divmod(added, n)
+    indices = np.insert(net.indices, np.searchsorted(old_keys, added), dst)
+    indptr = net.indptr.astype(np.int64)
+    indptr[1:] += np.cumsum(np.bincount(src, minlength=n))
+    return SocialNetwork(n_cells=n, indptr=indptr, indices=indices)
+
+
+def class_counts_of(net: SocialNetwork, aft_id: np.ndarray) -> np.ndarray:
+    """Each cell's neighbours per class, counted afresh from a merged CSR."""
+    rows = np.repeat(np.arange(net.n_cells), np.diff(net.indptr))
+    return np.bincount(rows * 3 + aft_id[net.indices], minlength=3 * net.n_cells).reshape(-1, 3)
 
 
 def assert_same_csr(got: SocialNetwork, want: SocialNetwork):
@@ -345,3 +383,65 @@ class TestNeighbourIntensityFraction:
         # centre itself is at 0.5 but must not count
         got = neighbour_intensity_fraction(net, intens, 4, 0.5, "at_or_above")
         assert got == 0.0
+
+
+# One run of a mixed batch: grid width and height, radius (clamped below the
+# grid), the share of free pairs the first round of teleconnections fills,
+# the share of what is left a second round fills, and a seed.
+_RUN = st.tuples(
+    st.integers(3, 9), st.integers(3, 9), st.integers(1, 5),
+    st.floats(0, 1), st.floats(0, 1), st.integers(0, 2**31 - 1),
+)
+
+
+class TestOverlayEqualsMergedBuild:
+    @given(st.lists(_RUN, min_size=1, max_size=4))
+    @example([(9, 9, 5, 1.0, 0.0, 3), (9, 9, 5, 0.01, 0.5, 4), (4, 7, 2, 0.2, 1.0, 5)])
+    @example([(3, 3, 1, 1.0, 0.0, 0)])
+    @settings(max_examples=40, deadline=None)
+    def test_degrees_counts_and_merged_view(self, runs):
+        # Two rounds of teleconnections over shared lattices, in one batch:
+        # the merged view, the batch degrees and the neighbour counts after
+        # 20 ticks of commits all equal the np.insert-merged networks'.
+        lattices, states, merged = {}, [], []
+        for point, (w, h, r, fill, refill, seed) in enumerate(runs):
+            r = min(r, min(w, h) - 1)
+            lattice = lattices.setdefault((w, h, r), build_lattice(w, h, r))
+            free = w * h * (w * h - 1) // 2 - lattice.num_edges
+            n_tele = round(fill * free)
+            n_more = round(refill * (free - n_tele))
+            once = add_teleconnections(lattice, n_tele, seed)
+            twice = add_teleconnections(once, n_more, seed + 1)
+            assert twice.lattice is lattice
+            assert twice.num_edges == lattice.num_edges + n_tele + n_more
+            want = teleconnections_by_insert(
+                teleconnections_by_insert(lattice, n_tele, seed), n_more, seed + 1
+            )
+            assert_same_csr(twice, want)
+            cfg = ExperimentConfig(grid_width=w, grid_height=h, moore_radius=r, seed=seed)
+            states.append(dataclasses.replace(build_state(cfg, (seed, point, 0)), network=twice))
+            merged.append(want)
+
+        batch = Lockstep(states)
+        assert np.array_equal(batch.degree, np.concatenate([np.diff(m.indptr) for m in merged]))
+        for _ in range(20):
+            tick(batch)
+        want_counts = [class_counts_of(m, s.grid.aft_id) for m, s in zip(merged, states)]
+        assert np.array_equal(batch.neighbour_counts, np.concatenate(want_counts))
+
+    def test_overlay_shares_the_lattice(self):
+        lattice = build_lattice(9, 9, 2)
+        aug = add_teleconnections(add_teleconnections(lattice, 10, 1), 5, 2)
+        assert isinstance(aug, TeleconnectedNetwork) and aug.lattice is lattice
+        assert aug.tele.shape == (15, 2) and not aug.tele.flags.writeable
+        assert np.all(aug.tele[:, 0] < aug.tele[:, 1])
+        keys = aug.tele[:, 0] * 81 + aug.tele[:, 1]
+        assert np.all(np.diff(keys) > 0)
+        assert not lattice.has_edges(aug.tele[:, 0], aug.tele[:, 1]).any()
+
+    @given(st.integers(2, 9), st.integers(2, 9), st.integers(1, 5), st.integers(0, 2**31 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_vectorised_has_edges(self, w, h, r, seed):
+        net = build_lattice(w, h, min(r, min(w, h) - 1))
+        i, j = np.random.default_rng(seed).integers(w * h, size=(2, 200))
+        assert net.has_edges(i, j).tolist() == [bool(net.has_edge(a, b)) for a, b in zip(i, j)]
