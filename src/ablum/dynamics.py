@@ -403,39 +403,38 @@ class StopRule:
 
 def run_lockstep(
     states: Sequence[SimulationState],
-    rules: Sequence[StopRule | AttitudeSchedule],
+    rule: StopRule | AttitudeSchedule,
 ) -> list[Trajectory]:
-    """Run each state to its own end, all in one batch; returns their trajectories.
+    """Run every state under one rule, all in one batch; returns their trajectories.
 
-    ``rules[b]`` is run b's StopRule, or the AttitudeSchedule it follows for
-    the schedule's full span, re-applying attitudes every tick. A run that
-    has ended stops being drawn. Every run's trajectory and final state are
-    exactly those it gets when run on its own.
+    ``rule`` is the StopRule each run stops by, or the AttitudeSchedule every
+    run follows for the schedule's full span, re-applying attitudes every
+    tick. The runs must start on the same tick. A run that has ended stops
+    being drawn. Every run's trajectory and final state are exactly those it
+    gets when run on its own.
 
     Each step records one block of rows, one per live run; the trajectories
     are cut from the blocks at the end. Run b keeps the shares of its latest
     ``window + 1`` steps in ``recent[b]``, step s in column s % (window + 1),
     so one max-minus-min over those columns decides settling for every live
     run at once. Every column starts at step 0's shares, which belong to the
-    trailing window for as long as fewer steps have been taken; columns past
-    a run's window hold NaN, which the reductions skip.
+    trailing window for as long as fewer steps have been taken.
     """
-    if len(rules) != len(states):
-        raise ConfigurationError("need one stopping rule per run")
-    schedules = {b: r for b, r in enumerate(rules) if isinstance(r, AttitudeSchedule)}
-    for b, schedule in schedules.items():
-        apply_attitude_schedule(states[b], schedule)
+    if len({s.tick for s in states}) > 1:
+        raise ConfigurationError("runs in a batch must start on the same tick")
+    scheduled = isinstance(rule, AttitudeSchedule)
+    if scheduled:
+        for state in states:
+            apply_attitude_schedule(state, rule)
     batch = Lockstep(states)
-    scheduled = np.array([b in schedules for b in range(len(states))])
-    first_tick = np.array([s.tick for s in states])
-    window = np.array([0 if b in schedules else r.window for b, r in enumerate(rules)])
-    epsilon = np.array([0.0 if b in schedules else r.epsilon for b, r in enumerate(rules)])
-    # Steps at which each run reaches its last tick, and may settle: at tick
-    # window, and never for a scheduled run.
-    last_step = np.array([r.last_tick for r in rules]) - first_tick
-    settle_step = np.where(scheduled, np.inf, window - first_tick)
-    recent = np.full((len(states), 3, window.max() + 1), np.nan)
-    # Columns mean_attitude and scheduled_attitude (NaN for unscheduled runs).
+    first_tick = states[0].tick
+    window = 0 if scheduled else rule.window
+    # Steps at which the runs reach the last tick, and may settle: at tick
+    # window, and never under a schedule.
+    last_step = rule.last_tick - first_tick
+    settle_step = math.inf if scheduled else window - first_tick
+    recent = np.empty((len(states), 3, window + 1))
+    # Columns mean_attitude and scheduled_attitude (NaN without a schedule).
     attitudes = np.full((len(states), 2), np.nan)
     attitudes[:, 0] = [np.mean(s.grid.profiles.attitude) for s in states]
     blocks: list[tuple[np.ndarray, np.ndarray]] = []
@@ -444,50 +443,37 @@ def run_lockstep(
         # The supply recorded after a tick is the next tick's pre-tick supply.
         batch.refresh_supply(runs)
         shares = batch.class_counts[runs] / batch.n_cells[runs, None]
-        recent[runs, :, step % (window[runs] + 1)] = shares
-        for b in runs[scheduled[runs]].tolist() if schedules else ():
-            attitudes[b] = np.mean(states[b].grid.profiles.attitude), schedules[b].mean_at(states[b].tick)
+        recent[runs, :, step % (window + 1)] = shares
+        if scheduled:
+            attitudes[runs, 0] = [np.mean(states[b].grid.profiles.attitude) for b in runs.tolist()]
+            attitudes[runs, 1] = rule.mean_at(first_tick + step)
         blocks.append((runs, np.concatenate([shares, batch.supply[runs], attitudes[runs]], axis=1)))
-
-    def ended(runs: np.ndarray, step: int) -> np.ndarray:
-        done = last_step[runs] <= step
-        check = settle_step[runs] <= step
-        if check.any():
-            shares = recent[runs]
-            moved = np.fmax.reduce(shares, axis=2) - np.fmin.reduce(shares, axis=2)
-            done |= check & (moved < epsilon[runs, None]).all(axis=1)
-        return done
 
     live = np.arange(len(states))
     record(live, 0)
-    # Step 0's shares fill each run's window columns; the rest stay NaN.
-    recent[...] = np.where(np.arange(recent.shape[2]) <= window[:, None, None], recent[:, :, :1], np.nan)
-    live = live[last_step > 0]
+    recent[...] = recent[:, :, :1]
     step = 0
-    while live.size:
+    while step < last_step and live.size:
         batch.live = live
         tick(batch)
         step += 1
-        stepped = live[scheduled[live]].tolist() if schedules else ()
-        for b in stepped:
-            apply_attitude_schedule(states[b], schedules[b])
-        if stepped:
+        if scheduled:
+            for b in live.tolist():
+                apply_attitude_schedule(states[b], rule)
             batch.refresh_attitude()
         record(live, step)
-        live = live[~ended(live, step)]
+        if settle_step <= step:
+            shares = recent[live]
+            live = live[((shares.max(axis=2) - shares.min(axis=2)) >= rule.epsilon).any(axis=1)]
 
     runs = np.concatenate([r for r, _ in blocks])
     order = np.argsort(runs, kind="stable")
-    ticks = (first_tick[runs] + np.repeat(np.arange(len(blocks)), [r.size for r, _ in blocks]))[order]
+    ticks = (first_tick + np.repeat(np.arange(len(blocks)), [r.size for r, _ in blocks]))[order]
     values = np.concatenate([rows.T for _, rows in blocks], axis=1)[:, order]
     ends = np.cumsum(np.bincount(runs, minlength=len(states)))
     return [
-        Trajectory(
-            ticks[lo:hi],
-            *values[:6, lo:hi],
-            scheduled_attitude=values[6, lo:hi] if b in schedules else None,
-        )
-        for b, (lo, hi) in enumerate(zip(ends - np.diff(ends, prepend=0), ends))
+        Trajectory(ticks[lo:hi], *values[:6, lo:hi], scheduled_attitude=values[6, lo:hi] if scheduled else None)
+        for lo, hi in zip(ends - np.diff(ends, prepend=0), ends)
     ]
 
 
@@ -502,7 +488,7 @@ def run_until_stable(
     The check spans the window+1 most recent rows, so a run that never moves
     stops exactly at tick == window. Stops at max_ticks regardless.
     """
-    (trajectory,) = run_lockstep([state], [StopRule(max_ticks, window, epsilon)])
+    (trajectory,) = run_lockstep([state], StopRule(max_ticks, window, epsilon))
     return state, trajectory
 
 
@@ -511,5 +497,5 @@ def run_schedule(
     schedule: AttitudeSchedule,
 ) -> tuple[SimulationState, Trajectory]:
     """Run for the schedule's full span, re-applying attitudes every tick."""
-    (trajectory,) = run_lockstep([state], [schedule])
+    (trajectory,) = run_lockstep([state], schedule)
     return state, trajectory

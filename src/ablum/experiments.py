@@ -171,16 +171,17 @@ def _stop_rule(config: ExperimentConfig) -> StopRule | AttitudeSchedule:
 
 
 def _batches(jobs: list, threads: int = 1) -> list[list]:
-    """Consecutive jobs grouped up to CELL_BUDGET cells, and up to an even
-    share of all cells over ``threads`` workers, so that each worker gets a
-    batch; a larger run goes alone."""
+    """Consecutive jobs under one stop rule, grouped up to CELL_BUDGET cells
+    and up to an even share of all cells over ``threads`` workers, so that
+    each worker gets a batch; a larger run goes alone."""
     sizes = [config.grid_width * config.grid_height for config, _ in jobs]
     cap = min(CELL_BUDGET, -(-sum(sizes) // max(threads, 1)))
-    batches, cells = [], cap
+    batches, cells, rule = [], cap, None
     for job, n in zip(jobs, sizes):
-        if cells + n > cap:
+        job_rule = _stop_rule(job[0])
+        if cells + n > cap or job_rule != rule:
             batches.append([])
-            cells = 0
+            cells, rule = 0, job_rule
         batches[-1].append(job)
         cells += n
     return batches
@@ -192,7 +193,7 @@ def _run_batch(args) -> list:
     jobs, finish = args
     lattices: dict = {}
     states = [build_state(config, key, lattices) for config, key in jobs]
-    trajectories = run_lockstep(states, [_stop_rule(config) for config, _ in jobs])
+    trajectories = run_lockstep(states, _stop_rule(jobs[0][0]))
     return [finish(c, key, s, t) for (c, key), s, t in zip(jobs, states, trajectories)]
 
 
@@ -286,13 +287,7 @@ def evaluate_design(
         config = map_sample_to_config(list(design.matrix[r]), design.space, base_config)
         jobs += [(config, (base_config.seed, design.base_index(r), rep)) for rep in range(replicates)]
     outputs = _run_jobs(jobs, _design_outputs, threads)
-    rows = []
-    for r in range(design.n_rows):
-        acc = np.zeros(len(OUTPUT_METRICS))
-        for rep in range(replicates):
-            acc += outputs[r * replicates + rep]
-        rows.append(list(acc / replicates))
-    return np.asarray(rows)
+    return np.asarray(outputs).reshape(design.n_rows, replicates, len(OUTPUT_METRICS)).mean(axis=1)
 
 
 def run_sobol(

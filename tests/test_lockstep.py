@@ -1,13 +1,16 @@
-"""Lockstep batches: every run of a mixed batch is exactly the run alone.
+"""Lockstep batches: every run of a batch is exactly the run alone.
 
-A batch joins runs of different grids, radii, teleconnections, profile
-spreads, stopping rules, an economic-baseline run and a scheduled run; each
-must reproduce, bit for bit, what run_until_stable or run_schedule gives it
-on its own.
+A batch runs under one stop rule. One batch joins runs of different grids,
+radii, teleconnections and profile spreads and an economic-baseline run under
+one StopRule; another joins scheduled runs on different grids under one
+AttitudeSchedule. Each run must reproduce, bit for bit, what run_until_stable
+or run_schedule gives it on its own. Campaigns cut their batches where the
+stop rule changes.
 """
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,31 +43,44 @@ from ablum import (
     utility,
 )
 from ablum import experiments
-from ablum.dynamics import AttitudeSchedule, Lockstep, apply_attitude_schedule, run_lockstep
+from ablum.dynamics import AttitudeSchedule, Lockstep, StopRule, apply_attitude_schedule, run_lockstep
 from ablum.metrics import Trajectory
 from ablum.sensitivity import ParameterDim, ParameterSpace
 
+BASE = dict(
+    grid_width=12, grid_height=12, demand_mat=60.0, demand_nm=60.0,
+    max_ticks=400, window=20, seed=5,
+)
+
 
 def mixed_configs():
-    base = dict(
-        grid_width=12, grid_height=12, demand_mat=60.0, demand_nm=60.0,
-        max_ticks=400, window=20, seed=5,
-    )
+    """Runs that differ in everything but their StopRule."""
     return [
-        ExperimentConfig(**base, moore_radius=1),
+        ExperimentConfig(**BASE, moore_radius=1),
         ExperimentConfig(
-            **base, moore_radius=2, n_tele=15, attitude_sigma=0.3, norm_weight_sigma=0.1,
+            **BASE, moore_radius=2, n_tele=15, attitude_sigma=0.3, norm_weight_sigma=0.1,
             cm_int_sigma=0.1, cm_ext_sigma=0.1, inertia_lambda=0.2, inertia_sigma=0.1,
         ),
-        ExperimentConfig(**base, moore_radius=3, n_tele=5, economic_baseline=True),
-        ExperimentConfig(
-            **{**base, "grid_width": 10, "grid_height": 13},
-            moore_radius=4, schedule=((0, -0.6), (60, 0.6)),
-        ),
-        ExperimentConfig(**base, moore_radius=5, n_tele=30, git_upper_sigma=0.1, logistic_k=5.0),
-        ExperimentConfig(**{**base, "max_ticks": 25}, moore_radius=2, cm_int=0.1),
-        ExperimentConfig(**{**base, "window": 35, "epsilon": 0.01}, moore_radius=1, n_tele=8),
+        ExperimentConfig(**BASE, moore_radius=3, n_tele=5, economic_baseline=True),
+        ExperimentConfig(**{**BASE, "grid_width": 10, "grid_height": 13}, moore_radius=4, n_tele=8),
+        ExperimentConfig(**BASE, moore_radius=5, n_tele=30, git_upper_sigma=0.1, logistic_k=5.0),
+        ExperimentConfig(**BASE, moore_radius=2, cm_int=0.1),
+        ExperimentConfig(**BASE, moore_radius=1, n_tele=8),
     ]
+
+
+def scheduled_configs():
+    """Runs on different grids that follow one AttitudeSchedule."""
+    ramp = ((0, -0.6), (60, 0.6))
+    return [
+        ExperimentConfig(**{**BASE, "grid_width": 10, "grid_height": 13}, moore_radius=4, schedule=ramp),
+        ExperimentConfig(**BASE, moore_radius=1, n_tele=8, attitude_sigma=0.3, schedule=ramp),
+        ExperimentConfig(**{**BASE, "grid_width": 9, "grid_height": 9}, moore_radius=2, schedule=ramp),
+    ]
+
+
+def build_batch(configs, first_point=0):
+    return [build_state(cfg, (cfg.seed, first_point + p, 0)) for p, cfg in enumerate(configs)]
 
 
 def run_alone(config, key):
@@ -74,12 +90,13 @@ def run_alone(config, key):
     return run_until_stable(state, config.max_ticks, config.window, config.epsilon)
 
 
-def lockstep_by_lists(states, rules):
+def lockstep_by_lists(states, rule):
     """run_lockstep's bookkeeping as per-run Python lists: one row tuple per
     run and tick, and settling decided run by run on the share lists."""
-    schedules = {b: r for b, r in enumerate(rules) if isinstance(r, AttitudeSchedule)}
-    for b, schedule in schedules.items():
-        apply_attitude_schedule(states[b], schedule)
+    scheduled = isinstance(rule, AttitudeSchedule)
+    if scheduled:
+        for state in states:
+            apply_attitude_schedule(state, rule)
     batch = Lockstep(states)
     attitude = [float(np.mean(s.grid.profiles.attitude)) for s in states]
     rows = [[] for _ in states]
@@ -90,38 +107,33 @@ def lockstep_by_lists(states, rules):
         fractions = (batch.class_counts[runs, :3] / batch.n_cells[runs, None]).tolist()
         for b, share, supply in zip(runs.tolist(), fractions, batch.supply[runs].tolist()):
             state = states[b]
-            scheduled = ()
-            if b in schedules:
+            extra = ()
+            if scheduled:
                 attitude[b] = float(np.mean(state.grid.profiles.attitude))
-                scheduled = (schedules[b].mean_at(state.tick),)
-            rows[b].append((state.tick, *share, *supply, attitude[b], *scheduled))
+                extra = (rule.mean_at(state.tick),)
+            rows[b].append((state.tick, *share, *supply, attitude[b], *extra))
             for col, value in zip(shares[b], share):
                 col.append(value)
 
-    def settled(values, window, epsilon):
-        tail = values[-(window + 1) :]
-        return max(tail) - min(tail) < epsilon
+    def settled(values):
+        tail = values[-(rule.window + 1) :]
+        return max(tail) - min(tail) < rule.epsilon
 
     def ended(b):
-        rule, now = rules[b], states[b].tick
+        now = states[b].tick
         if now >= rule.last_tick:
             return True
-        return (
-            b not in schedules
-            and now >= rule.window
-            and all(settled(col, rule.window, rule.epsilon) for col in shares[b])
-        )
+        return not scheduled and now >= rule.window and all(settled(col) for col in shares[b])
 
     runs = np.arange(len(states))
     record(runs)
-    live = [b for b in runs.tolist() if states[b].tick < rules[b].last_tick]
+    live = [b for b in runs.tolist() if states[b].tick < rule.last_tick]
     while live:
         batch.live = np.array(live)
         tick(batch)
-        stepped = [b for b in live if b in schedules]
-        for b in stepped:
-            apply_attitude_schedule(states[b], schedules[b])
-        if stepped:
+        if scheduled:
+            for b in live:
+                apply_attitude_schedule(states[b], rule)
             batch.refresh_attitude()
         record(batch.live)
         live = [b for b in live if not ended(b)]
@@ -165,78 +177,93 @@ def assert_trajectories_equal(a, b):
         assert np.array_equal(a.scheduled_attitude, b.scheduled_attitude)
 
 
+def assert_batch_equals_runs_alone(configs):
+    keys = [(cfg.seed, point, 0) for point, cfg in enumerate(configs)]
+    states = [build_state(cfg, key) for cfg, key in zip(configs, keys)]
+    trajectories = run_lockstep(states, experiments._stop_rule(configs[0]))
+    for cfg, key, state, traj in zip(configs, keys, states, trajectories):
+        alone, ref = run_alone(cfg, key)
+        assert_trajectories_equal(traj, ref)
+        assert np.array_equal(state.grid.aft_id, alone.grid.aft_id)
+        assert share_trajectory_summary(
+            traj, mesh_connectivity(state.grid)
+        ) == share_trajectory_summary(ref, mesh_connectivity(alone.grid))
+        assert state.tick == alone.tick
+        assert state.rng.bit_generator.state == alone.rng.bit_generator.state
+        assert (state.demand.s_mat, state.demand.s_nm) == (alone.demand.s_mat, alone.demand.s_nm)
+        # the batch's running counts and cached supply match the final map
+        assert (traj.s_mat[-1], traj.s_nm[-1]) == total_supply(state.grid)
+        shares = intensity_shares(state.grid)
+        assert (traj.share_c[-1], traj.share_mi[-1], traj.share_hi[-1]) == (
+            shares[0], shares[1], shares[2],
+        )
+    return [int(traj.tick[-1]) for traj in trajectories]
+
+
 class TestMixedBatch:
     def test_each_run_equals_the_run_alone(self):
         configs = mixed_configs()
-        keys = [(cfg.seed, point, 0) for point, cfg in enumerate(configs)]
-        states = [build_state(cfg, key) for cfg, key in zip(configs, keys)]
-        trajectories = run_lockstep(states, [experiments._stop_rule(cfg) for cfg in configs])
-
-        ends = []
-        for cfg, key, state, traj in zip(configs, keys, states, trajectories):
-            alone, ref = run_alone(cfg, key)
-            assert_trajectories_equal(traj, ref)
-            assert np.array_equal(state.grid.aft_id, alone.grid.aft_id)
-            assert share_trajectory_summary(
-                traj, mesh_connectivity(state.grid)
-            ) == share_trajectory_summary(ref, mesh_connectivity(alone.grid))
-            assert state.tick == alone.tick
-            assert state.rng.bit_generator.state == alone.rng.bit_generator.state
-            assert (state.demand.s_mat, state.demand.s_nm) == (alone.demand.s_mat, alone.demand.s_nm)
-            # the batch's running counts and cached supply match the final map
-            assert (traj.s_mat[-1], traj.s_nm[-1]) == total_supply(state.grid)
-            shares = intensity_shares(state.grid)
-            assert (traj.share_c[-1], traj.share_mi[-1], traj.share_hi[-1]) == (
-                shares[0], shares[1], shares[2],
-            )
-            ends.append(int(traj.tick[-1]))
-
+        ends = assert_batch_equals_runs_alone(configs)
         # the batch really mixes ending times: settled runs at different
-        # ticks, one capped at max_ticks, the schedule at its last tick
-        settled = [e for cfg, e in zip(configs, ends) if cfg.schedule is None and e < cfg.max_ticks]
+        # ticks, and the economic baseline capped at max_ticks
+        settled = [e for e in ends if e < BASE["max_ticks"]]
         assert len(set(settled)) >= 3
-        assert ends[5] == configs[5].max_ticks
-        assert ends[3] == 60
+        assert ends[2] == BASE["max_ticks"]
+
+    def test_scheduled_runs_equal_the_runs_alone(self):
+        assert assert_batch_equals_runs_alone(scheduled_configs()) == [60, 60, 60]
 
     def test_trajectories_equal_the_list_bookkeeping(self):
         # the array blocks and the batch-wide settling check give every run
         # the rows, columns and dtypes of the per-run list loop they replace
-        configs = mixed_configs()
-        keys = [(cfg.seed, point, 0) for point, cfg in enumerate(configs)]
-        rules = [experiments._stop_rule(cfg) for cfg in configs]
-        got = run_lockstep([build_state(cfg, key) for cfg, key in zip(configs, keys)], rules)
-        want = lockstep_by_lists([build_state(cfg, key) for cfg, key in zip(configs, keys)], rules)
-        for a, b in zip(got, want):
-            assert_trajectories_equal(a, b)
-            if b.scheduled_attitude is not None:
-                assert a.scheduled_attitude.dtype == b.scheduled_attitude.dtype
-        # Three more runs: one never moves, so it settles exactly at its
-        # window; one moves by exactly epsilon (one cell of 64) inside some
-        # windows; one starts at tick 12, so it may settle before it has
-        # taken window + 1 steps.
-        extra = [
-            ExperimentConfig(grid_width=9, grid_height=9, max_ticks=50, window=7, epsilon=1.0, seed=2),
-            ExperimentConfig(
-                grid_width=8, grid_height=8, max_ticks=200, window=8, epsilon=1 / 64, seed=3,
-                demand_mat=30.0, demand_nm=30.0,
-            ),
-            ExperimentConfig(
-                grid_width=8, grid_height=8, max_ticks=200, window=20, epsilon=0.05, seed=6,
-                demand_mat=30.0, demand_nm=30.0,
-            ),
+        for configs in (mixed_configs(), scheduled_configs()):
+            rule = experiments._stop_rule(configs[0])
+            got = run_lockstep(build_batch(configs), rule)
+            want = lockstep_by_lists(build_batch(configs), rule)
+            for a, b in zip(got, want):
+                assert_trajectories_equal(a, b)
+                if b.scheduled_attitude is not None:
+                    assert a.scheduled_attitude.dtype == b.scheduled_attitude.dtype
+
+    @pytest.mark.parametrize(
+        "rule, start",
+        [
+            # nothing may move by epsilon 1, so every run settles at its window
+            (StopRule(50, 7, 1.0), 0),
+            # one cell of 64 is exactly epsilon, which some windows move by
+            (StopRule(200, 8, 1 / 64), 0),
+            # runs that start at tick 12 may settle before window + 1 steps
+            (StopRule(200, 20, 0.05), 12),
+        ],
+    )
+    def test_settling_edges_equal_the_list_bookkeeping(self, rule, start):
+        configs = [
+            replace(cfg, max_ticks=rule.max_ticks, window=rule.window, epsilon=rule.epsilon)
+            for cfg in (
+                ExperimentConfig(grid_width=8, grid_height=8, demand_mat=30.0, demand_nm=30.0, seed=3),
+                ExperimentConfig(grid_width=9, grid_height=9, seed=2),
+                mixed_configs()[1],
+            )
         ]
-        rules = [experiments._stop_rule(c) for c in extra] + rules
 
         def batch():
-            states = [build_state(c, (c.seed, 9 + i, 0)) for i, c in enumerate(extra)]
-            states[2].tick = 12
-            return states + [build_state(c, k) for c, k in zip(configs, keys)]
+            states = build_batch(configs, first_point=9)
+            for state in states:
+                state.tick = start
+            return states
 
-        got, want = run_lockstep(batch(), rules), lockstep_by_lists(batch(), rules)
-        assert got[0].tick[-1] == extra[0].window
-        assert got[2].tick[0] == 12 and got[2].n_rows <= extra[2].window
+        got, want = run_lockstep(batch(), rule), lockstep_by_lists(batch(), rule)
         for a, b in zip(got, want):
             assert_trajectories_equal(a, b)
+            assert a.tick[0] == start
+        if rule.epsilon == 1.0:
+            assert [int(t.tick[-1]) for t in got] == [rule.window] * len(configs)
+        if rule.epsilon == 1 / 64:
+            shares = np.array([got[0].share_c, got[0].share_mi, got[0].share_hi])
+            windows = np.lib.stride_tricks.sliding_window_view(shares, rule.window + 1, axis=1)
+            assert (np.ptp(windows, axis=2) == rule.epsilon).any()
+        if start:
+            assert min(t.n_rows for t in got) <= rule.window
 
     def test_batched_ticks_match_the_scalar_api(self):
         # every decision of several consecutive batched ticks, re-derived
@@ -289,10 +316,11 @@ class TestMixedBatch:
         fresh = Lockstep([state])
         assert np.array_equal(batch.neighbour_counts, fresh.neighbour_counts)
 
-    def test_one_rule_per_run(self):
-        state = build_state(mixed_configs()[0])
-        with pytest.raises(ConfigurationError):
-            run_lockstep([state], [])
+    def test_runs_start_on_the_same_tick(self):
+        states = build_batch(mixed_configs()[:2])
+        states[1].tick = 3
+        with pytest.raises(ConfigurationError, match="same tick"):
+            run_lockstep(states, StopRule(50, 10, 0.01))
 
 
 class TestCampaignBatches:
@@ -324,6 +352,27 @@ class TestCampaignBatches:
         for a, b in zip(serial, parallel):
             assert_trajectories_equal(a.trajectory, b.trajectory)
             assert np.array_equal(a.state.grid.aft_id, b.state.grid.aft_id)
+
+    def test_batches_cut_where_the_stop_rule_changes(self):
+        short = ExperimentConfig(grid_width=25, grid_height=25, max_ticks=100, window=10)
+        longer = replace(short, max_ticks=200)
+        ramp = replace(short, schedule=((0, 0.0), (50, 0.5)))
+
+        def rules(batches):
+            return [[experiments._stop_rule(cfg) for cfg, _ in batch] for batch in batches]
+
+        kinds = [short] * 3 + [longer] * 2 + [ramp] * 2 + [short]
+        batches = experiments._batches([(cfg, k) for k, cfg in enumerate(kinds)])
+        assert [len(b) for b in batches] == [3, 2, 2, 1]
+        assert all(len(set(map(repr, r))) == 1 for r in rules(batches))
+        assert [k for b in batches for _, k in b] == list(range(len(kinds)))
+        # the cell budget still cuts runs under one rule
+        per_batch = experiments.CELL_BUDGET // 625
+        jobs = [(short, k) for k in range(per_batch + 2)] + [(longer, k) for k in range(3)]
+        assert [len(b) for b in experiments._batches(jobs)] == [per_batch, 2, 3]
+        # and so does each worker's share: 8 runs over 2 workers is 4 a batch
+        jobs = [(short, k) for k in range(3)] + [(longer, k) for k in range(5)]
+        assert [len(b) for b in experiments._batches(jobs, threads=2)] == [3, 4, 1]
 
     def test_threads_get_a_batch_each(self):
         # a campaign that fits one batch is still split over the workers
@@ -366,14 +415,34 @@ class TestCampaignBatches:
             max_ticks=60, window=10, seed=4,
         )
         design = saltelli_sample(space, 2, seed=4)
-        outputs = evaluate_design(design, base, replicates=2)
-        for r in range(design.n_rows):
-            cfg = experiments.map_sample_to_config(list(design.matrix[r]), space, base)
-            acc = np.zeros(5)
-            for rep in range(2):
-                _, traj = run_alone(cfg, (base.seed, design.base_index(r), rep))
-                acc += [traj.share_c[-1], traj.share_mi[-1], traj.share_hi[-1], traj.s_mat[-1], traj.s_nm[-1]]
-            assert np.array_equal(outputs[r], acc / 2)
+        for replicates in (2, 3):
+            outputs = evaluate_design(design, base, replicates=replicates)
+            for r in range(design.n_rows):
+                cfg = experiments.map_sample_to_config(list(design.matrix[r]), space, base)
+                acc = np.zeros(5)
+                for rep in range(replicates):
+                    _, traj = run_alone(cfg, (base.seed, design.base_index(r), rep))
+                    acc += [traj.share_c[-1], traj.share_mi[-1], traj.share_hi[-1], traj.s_mat[-1], traj.s_nm[-1]]
+                assert np.array_equal(outputs[r], acc / replicates)
+
+    def test_design_rows_with_their_own_window_equal_the_rows_alone(self):
+        # a window dimension gives rows different stop rules, so the design
+        # is cut into batches wherever the rounded window changes
+        space = ParameterSpace(
+            (ParameterDim("attitude_mean", -0.5, 0.5), ParameterDim("window", 5, 15, kind="integer"))
+        )
+        base = ExperimentConfig(
+            grid_width=9, grid_height=9, demand_mat=30.0, demand_nm=30.0,
+            max_ticks=60, window=10, seed=7,
+        )
+        design = saltelli_sample(space, 4, seed=7)
+        configs = [experiments.map_sample_to_config(list(row), space, base) for row in design.matrix]
+        assert len({cfg.window for cfg in configs}) >= 3
+        outputs = evaluate_design(design, base)
+        for r, cfg in enumerate(configs):
+            _, traj = run_alone(cfg, (base.seed, design.base_index(r), 0))
+            row = [traj.share_c[-1], traj.share_mi[-1], traj.share_hi[-1], traj.s_mat[-1], traj.s_nm[-1]]
+            assert np.array_equal(outputs[r], row)
 
     def test_sweep_points_share_a_lattice_yet_match(self):
         cfg = mixed_configs()[0]

@@ -3,8 +3,9 @@
 perfbench/tracing.py lists the module attributes it wraps by name; one the
 package no longer defines is skipped and its layer reads zero. The first test
 fails instead, so a rename is caught with the code that made it. The README
-tests catch a quick-start command or a named file that no longer exists, and
-a flag table that no longer lists exactly the flags each command takes.
+tests catch a quick-start command or a named file that no longer exists, a
+flag table that no longer lists exactly the flags each command takes, and a
+batch budget that no longer matches the code's.
 """
 
 import argparse
@@ -14,12 +15,13 @@ from pathlib import Path
 
 import pytest
 
-from ablum import cli, load_config
+from ablum import cli, experiments, load_config
 
 REPO = Path(__file__).resolve().parents[1]
 BENCH_DIR = REPO / "perfbench"
 README = (REPO / "README.md").read_text()
 QUICK_START = README.split("## Quick start", 1)[1].split("\n## ", 1)[0]
+PERFORMANCE = README.split("## Performance", 1)[1].split("\n## ", 1)[0]
 
 
 def test_every_traced_attribute_exists(monkeypatch):
@@ -63,3 +65,8 @@ def test_readme_names_only_existing_presets_and_scripts():
     for name in sorted(named):
         if name.endswith(".cfg"):
             load_config(REPO / name)
+
+
+def test_readme_cell_budget_matches_the_code():
+    (budget,) = re.findall(r"budget of ([\d,]+) cells", PERFORMANCE)
+    assert int(budget.replace(",", "")) == experiments.CELL_BUDGET
