@@ -20,6 +20,7 @@ from . import fileio
 from .config import ExperimentConfig, SobolSettings, load_config
 from .errors import ConfigurationError
 from .experiments import (
+    parse_run_id,
     recompute_metrics,
     run_capitals,
     run_replicates,
@@ -170,8 +171,17 @@ def _cmd_landscape(args) -> int:
 def _cmd_metrics(args) -> int:
     """Recompute metrics from a land-use map CSV."""
     config = _load(args)
+    rep = 0
+    # A map in a run's own directory gets that replicate's capitals.
+    run = parse_run_id(args.map.absolute().parent.name)
+    if run is not None:
+        seed, rep = run
+        if seed != config.seed:
+            raise ConfigurationError(
+                f"{args.map} is from a run with seed {seed}, but the config's seed is {config.seed}"
+            )
     width, height, aft_id = fileio.read_map_csv(args.map)
-    summary = recompute_metrics(config, width, height, aft_id, connectivity=args.connectivity)
+    summary = recompute_metrics(config, width, height, aft_id, connectivity=args.connectivity, rep=rep)
     sys.stdout.write(fileio.metrics_csv([(args.map.stem, config.seed, summary)]))
     return 0
 

@@ -10,6 +10,16 @@ broken towards the smaller intensity jump, then the lower type id.
 One engine serves one run and many: a Lockstep batch advances independent
 runs together, one vectorised tick for all, and a single run is a batch of
 one. Each run's results are the same either way, bit for bit.
+
+Every run keeps its own generator, and its cells are exactly those one
+``rng.choice(n, size=(k,), replace=False)`` call per tick would draw. Inside
+`run_lockstep` a run draws up to DRAW_AHEAD ticks of selections with one
+``rng.integers`` call, and the batch resolves them into numpy's picks all at
+once; at the end each generator is rewound past the ticks its run did not
+take, so every output and every final generator state is unchanged. Grids
+above 10,000 cells, where numpy shuffles part of arange(n) instead of using
+Floyd's algorithm, still call ``rng.choice`` once per tick: that shuffle is
+one swap after another, so an array form would loop over all k swaps.
 """
 
 from __future__ import annotations
@@ -28,6 +38,9 @@ from .network import Network, SocialNetwork
 
 # Fraction of cells reconsidering their management each tick.
 UPDATE_FRACTION = 0.05
+
+# Ticks of cell selections a run in `run_lockstep` draws at once.
+DRAW_AHEAD = 16
 
 _N_TYPES = len(DEFAULT_AFTS)
 # Rows per block when counting neighbour classes over a whole network.
@@ -162,6 +175,53 @@ def _gather(indices: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[
     return indices[positions], at
 
 
+def _floyd(draws: np.ndarray, n: int) -> np.ndarray:
+    """The picks Floyd's algorithm makes from its draws, one row per call:
+    ``draws[:, t]`` lies on [0, n - k + t], and pick t is that draw unless
+    it is already taken, then n - k + t. A draw is taken iff it repeats an
+    earlier draw, or is the top value n - k + s of an earlier pick s whose
+    own draw was taken."""
+    m, k = draws.shape
+    # Sorting (row, value, position) keys puts each repeat right after the
+    # draw it repeats.
+    shift = (k - 1).bit_length()
+    keys = np.sort((((draws + n * np.arange(m)[:, None]) << shift) | np.arange(k)).reshape(-1))
+    row_value = keys >> shift
+    repeats = keys[1:][row_value[1:] == row_value[:-1]]
+    taken = np.zeros((m, k), dtype=bool)
+    taken[(repeats >> shift) // n, repeats & ((1 << shift) - 1)] = True
+    earlier = draws - (n - k)
+    rows, cols = np.nonzero((earlier >= 0) & (earlier < np.arange(k)))
+    earlier = earlier[rows, cols]
+    while True:
+        grow = taken[rows, earlier] & ~taken[rows, cols]
+        if not grow.any():
+            return np.where(taken, np.arange(n - k, n), draws)
+        taken[rows[grow], cols[grow]] = True
+
+
+def _choice_draws(rngs: list[np.random.Generator], n: int, k: int, ticks: int) -> np.ndarray:
+    """(len(rngs), ticks, k): the cells ``ticks`` calls of ``rng.choice(n,
+    size=(k,), replace=False)`` pick from each generator, in no set order
+    within a tick. Each generator ends where those calls leave it.
+
+    numpy uses Floyd's algorithm unless n > 10,000 and k > n // 50: one draw
+    on [0, j] for each j from n - k to n - 1, then a shuffle of the picks that
+    draws on [0, i] for i from k - 1 down to 1. One ``rng.integers`` call with
+    those bounds makes the same draws, so a generator draws all its ticks at
+    once and `_floyd` resolves every generator's picks together. Otherwise
+    numpy shuffles part of arange(n), and each tick stays one call.
+    """
+    if not k:
+        return np.empty((len(rngs), ticks, 0), dtype=np.int64)
+    if n > 10_000 and k > n // 50:
+        picks = [rng.choice(n, size=(k,), replace=False) for rng in rngs for _ in range(ticks)]
+        return np.array(picks, dtype=np.int64).reshape(len(rngs), ticks, k)
+    highs = np.tile(np.r_[n - k + 1 : n + 1, k:1:-1], ticks)
+    draws = np.array([rng.integers(0, highs) for rng in rngs]).reshape(-1, 2 * k - 1)
+    return _floyd(draws[:, :k], n).reshape(len(rngs), ticks, k)
+
+
 def _class_counts(net: SocialNetwork, aft_id: np.ndarray) -> np.ndarray:
     """(n_cells, _N_TYPES) counts of each class among every cell's neighbours."""
     counts = np.empty((net.n_cells, _N_TYPES), dtype=np.int32)
@@ -193,9 +253,17 @@ class Lockstep:
     Runs keep their own generator, demand and supply. A tick draws only the
     runs in ``live`` (ascending). ``supply[b]`` is run b's (material,
     non-material) supply, valid unless ``stale[b]``.
+
+    ``picks[b, t]`` holds run b's cells for the t-th tick since the last
+    refill, which draws every live run at once: one tick, or, when
+    ``last_tick`` is set and the live runs share one tick, up to DRAW_AHEAD
+    ticks but never past ``last_tick``. Then ``refills[b]`` keeps run b's
+    generator state before its latest refill, the tick it was at and the
+    ticks drawn, so `rewind` can take back the draws of ticks the run did
+    not take.
     """
 
-    def __init__(self, states: Sequence[SimulationState]):
+    def __init__(self, states: Sequence[SimulationState], last_tick: int | None = None):
         if not states:
             raise ConfigurationError("a batch needs at least one run")
         self.states = list(states)
@@ -240,6 +308,49 @@ class Lockstep:
         self.supply = np.zeros((len(self.states), 2))
         self.stale = np.ones(len(self.states), dtype=bool)
         self.live = np.arange(len(self.states))
+        self.last_tick = last_tick
+        self.picks = np.empty((len(self.states), 0, 0), dtype=np.int64)
+        self.next_pick = 0
+        self.refills: dict[int, tuple[dict, int, int]] = {}
+
+    def select(self) -> np.ndarray:
+        """The batch cells every live run reconsiders this tick, ascending."""
+        live = self.live
+        if self.next_pick == self.picks.shape[1]:
+            self._refill(live)
+        picks = self.picks[live, self.next_pick]
+        self.next_pick += 1
+        return picks[np.arange(picks.shape[1]) < self.draws[live, None]]
+
+    def _refill(self, live: np.ndarray) -> None:
+        ticks = 1
+        if self.last_tick is not None:
+            ticks = min(DRAW_AHEAD, self.last_tick - self.states[live[0]].tick)
+        self.picks = np.empty((len(self.states), ticks, self.draws.max()), dtype=np.int64)
+        self.next_pick = 0
+        for n in np.unique(self.n_cells[live]).tolist():
+            runs = live[self.n_cells[live] == n]
+            rngs = [self.states[b].rng for b in runs.tolist()]
+            if self.last_tick is not None:
+                for b, rng in zip(runs.tolist(), rngs):
+                    self.refills[b] = (rng.bit_generator.state, self.states[b].tick, ticks)
+            k = selection_count(n)
+            picks = np.sort(_choice_draws(rngs, n, k, ticks), axis=2)
+            self.picks[runs, :, :k] = picks + self.offsets[runs, None, None]
+
+    def rewind(self) -> None:
+        """Leave each run's generator as one ``rng.choice`` call per tick it
+        took would: restore the state before its latest refill and redraw
+        only the ticks it took since."""
+        redraw: dict[tuple[int, int], list[np.random.Generator]] = {}
+        for b, (saved, first_tick, ticks) in self.refills.items():
+            taken = self.states[b].tick - first_tick
+            if taken < ticks:
+                rng = self.states[b].rng
+                rng.bit_generator.state = saved
+                redraw.setdefault((int(self.n_cells[b]), taken), []).append(rng)
+        for (n, taken), rngs in redraw.items():
+            _choice_draws(rngs, n, selection_count(n), taken)
 
     def refresh_supply(self, runs: np.ndarray) -> None:
         """Recompute the supply of the given runs where a commit made it
@@ -304,17 +415,10 @@ def tick(state: SimulationState | Lockstep) -> TickReport:
     batch = state if isinstance(state, Lockstep) else Lockstep([state])
     live = batch.live
     batch.refresh_supply(live)
-    picks = []
+    sel = batch.select()
     for b in live.tolist():
-        run = batch.states[b]
-        n, k = int(batch.n_cells[b]), int(batch.draws[b])
-        if k > 0:
-            # A tuple size draws the same cells as k, through a faster path.
-            picks.append(run.rng.choice(n, size=(k,), replace=False))
-        run.tick += 1
+        batch.states[b].tick += 1
     draws = batch.draws[live]
-    sel = np.concatenate([np.empty(0, np.int64), *picks])
-    sel = np.sort(sel + np.repeat(batch.offsets[live], draws))
     if sel.size == 0:
         empty = np.empty(0, dtype=np.int64)
         return TickReport(sel, empty, empty, empty)
@@ -410,8 +514,10 @@ def run_lockstep(
     ``rule`` is the StopRule each run stops by, or the AttitudeSchedule every
     run follows for the schedule's full span, re-applying attitudes every
     tick. The runs must start on the same tick. A run that has ended stops
-    being drawn. Every run's trajectory and final state are exactly those it
-    gets when run on its own.
+    being drawn. Every run's trajectory and final state, its generator's
+    included, are exactly those it gets when run on its own: runs draw their
+    selections up to DRAW_AHEAD ticks ahead, and the batch rewinds their
+    generators before it returns.
 
     Each step records one block of rows, one per live run; the trajectories
     are cut from the blocks at the end. Run b keeps the shares of its latest
@@ -426,7 +532,7 @@ def run_lockstep(
     if scheduled:
         for state in states:
             apply_attitude_schedule(state, rule)
-    batch = Lockstep(states)
+    batch = Lockstep(states, last_tick=rule.last_tick)
     first_tick = states[0].tick
     window = 0 if scheduled else rule.window
     # Steps at which the runs reach the last tick, and may settle: at tick
@@ -465,6 +571,7 @@ def run_lockstep(
         if settle_step <= step:
             shares = recent[live]
             live = live[((shares.max(axis=2) - shares.min(axis=2)) >= rule.epsilon).any(axis=1)]
+    batch.rewind()
 
     runs = np.concatenate([r for r, _ in blocks])
     order = np.argsort(runs, kind="stable")

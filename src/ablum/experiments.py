@@ -10,6 +10,7 @@ Sensitivity rows share the seed of their base sample across Saltelli blocks
 from __future__ import annotations
 
 import itertools
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -162,6 +163,12 @@ class RunResult:
     @property
     def run_id(self) -> str:
         return f"run_s{self.seed}_r{self.rep}"
+
+
+def parse_run_id(name: str) -> tuple[int, int] | None:
+    """The (seed, rep) a RunResult.run_id names, or None for another name."""
+    match = re.fullmatch(r"run_s(\d+)_r(\d+)", name)
+    return (int(match[1]), int(match[2])) if match else None
 
 
 def _stop_rule(config: ExperimentConfig) -> StopRule | AttitudeSchedule:

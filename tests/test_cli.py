@@ -381,6 +381,25 @@ class TestMetrics:
         assert got[1:8] == want[1:8]  # seed, shares, supplies, mesh all match
         assert got[8] == "-1"  # stabilisation tick unknown from a map alone
 
+    def test_replicate_comes_from_the_run_directory(self, tmp_path, capsys):
+        # with capital noise each replicate has its own capitals, so the
+        # supplies of run_s3_r1's map need replicate 1's
+        cfg = tmp_path / "noisy.cfg"
+        cfg.write_text(SMALL.replace("max_ticks = 40", "max_ticks = 30") + "\n[capitals]\nnoise_amp = 0.1\n")
+        out = tmp_path / "out"
+        assert entry("run", "--config", cfg, "--out", out, "--reps", "2") == 0
+        capsys.readouterr()
+        map_path = out / "run_s3_r1" / "map.csv"
+        assert entry("metrics", "--config", cfg, "--map", map_path) == 0
+        got = capsys.readouterr().out.splitlines()[1].split(",")
+        want = (out / "run_s3_r1" / "metrics.csv").read_text().splitlines()[1].split(",")
+        assert got[5:7] == want[5:7] == ["45.523914", "6.340900"]  # s_mat, s_nm
+        assert got[1:8] == want[1:8]
+        # a map of another seed's run cannot be priced with this config's capitals
+        assert entry("metrics", "--config", cfg, "--map", map_path, "--seed", "4") == 1
+        err = capsys.readouterr().err
+        assert "seed 3" in err and "seed is 4" in err
+
     def test_connectivity_choice(self, small_cfg, tmp_path, capsys):
         out = tmp_path / "out"
         entry("run", "--config", small_cfg, "--out", out)

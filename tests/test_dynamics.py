@@ -30,7 +30,7 @@ from ablum import (
     unit_benefit,
     utility,
 )
-from ablum.dynamics import Lockstep
+from ablum.dynamics import DRAW_AHEAD, Lockstep, _choice_draws
 
 
 def make_state(
@@ -136,6 +136,69 @@ class TestSelectionCount:
         assert selection_count(9) == 0  # 0.45 rounds down
         assert selection_count(10) == 1  # 0.5 rounds up
         assert selection_count(30) == 2  # 1.5 rounds up
+
+
+class CountingGenerator:
+    """A generator that records which of its methods are called."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.rng, name)
+
+
+class TestSelectionDraws:
+    """Runs draw their cells ahead by making the draws ``rng.choice(n,
+    size=(k,), replace=False)`` makes one tick at a time. These tests pin how
+    numpy makes them, so a numpy release that changes it fails here."""
+
+    @pytest.mark.parametrize(
+        "n, k",
+        [(9, 0), (2, 1), (100, 100), (144, 7), (625, 31), (10000, 500),
+         (10100, 505), (10201, 510), (10201, 10201)],
+    )
+    def test_buffered_draws_equal_choice_calls(self, n, k):
+        ticks = 3 if n > 10_000 else DRAW_AHEAD
+        for seed in range(4):
+            buffered, stepped = np.random.default_rng(seed), np.random.default_rng(seed)
+            (got,) = _choice_draws([buffered], n, k, ticks)
+            want = [np.sort(stepped.choice(n, size=(k,), replace=False)) for _ in range(ticks)]
+            shifted = (
+                f"numpy {np.__version__} draws rng.choice({n}, size=({k},), replace=False) "
+                f"differently from dynamics._choice_draws (seed {seed}): every run's cell "
+                "selections would shift"
+            )
+            assert got.shape == (ticks, k), shifted
+            assert np.array_equal(np.sort(got, axis=1), want), shifted
+            assert buffered.bit_generator.state == stepped.bit_generator.state, shifted
+
+    def test_generators_are_resolved_together(self):
+        rngs = [np.random.default_rng(seed) for seed in range(5)]
+        got = _choice_draws(rngs, 625, 31, 7)
+        for seed, picks in enumerate(got):
+            alone = _choice_draws([np.random.default_rng(seed)], 625, 31, 7)[0]
+            assert np.array_equal(np.sort(picks, axis=1), np.sort(alone, axis=1))
+
+    def test_floyd_ends_at_100_by_100(self):
+        # numpy shuffles instead of using Floyd's algorithm above 10,000
+        # cells, so a 100x100 grid draws ahead and a 101x100 grid calls choice
+        floyd, shuffle = CountingGenerator(0), CountingGenerator(0)
+        _choice_draws([floyd], 100 * 100, selection_count(100 * 100), DRAW_AHEAD)
+        _choice_draws([shuffle], 101 * 100, selection_count(101 * 100), DRAW_AHEAD)
+        assert floyd.calls == ["integers"]
+        assert shuffle.calls == ["choice"] * DRAW_AHEAD
+
+    def test_each_tick_draws_one_choice_call(self):
+        # a bare tick draws the cells of one rng.choice call on a fresh generator
+        state = make_state(width=25, height=25, seed=4)
+        ref = np.random.default_rng(4)
+        for _ in range(20):
+            report = tick(state)
+            assert np.array_equal(report.selected, np.sort(ref.choice(625, size=(31,), replace=False)))
+        assert state.rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestAttitudeSchedule:

@@ -14,6 +14,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ablum import (
     DEFAULT_AFTS,
@@ -43,7 +45,14 @@ from ablum import (
     utility,
 )
 from ablum import experiments
-from ablum.dynamics import AttitudeSchedule, Lockstep, StopRule, apply_attitude_schedule, run_lockstep
+from ablum.dynamics import (
+    DRAW_AHEAD,
+    AttitudeSchedule,
+    Lockstep,
+    StopRule,
+    apply_attitude_schedule,
+    run_lockstep,
+)
 from ablum.metrics import Trajectory
 from ablum.sensitivity import ParameterDim, ParameterSpace
 
@@ -321,6 +330,76 @@ class TestMixedBatch:
         states[1].tick = 3
         with pytest.raises(ConfigurationError, match="same tick"):
             run_lockstep(states, StopRule(50, 10, 0.01))
+
+
+def choice_replay(config, key, ticks):
+    """A fresh generator of the run with this seed key, after one
+    ``rng.choice`` call per tick as the engine once drew its cells."""
+    rng = np.random.default_rng(experiments.seed_streams(key).sim)
+    n = config.grid_width * config.grid_height
+    for _ in range(ticks):
+        rng.choice(n, size=(selection_count(n),), replace=False)
+    return rng
+
+
+def ticks_and_rewound_generators(configs, rule, start=0):
+    """Run the configs in one batch from ``start``; assert every generator
+    equals its choice replay and return the ticks each run took."""
+    keys = [(cfg.seed, 40 + p, 0) for p, cfg in enumerate(configs)]
+    states = [build_state(cfg, key) for cfg, key in zip(configs, keys)]
+    for state in states:
+        state.tick = start
+    run_lockstep(states, rule)
+    for cfg, key, state in zip(configs, keys, states):
+        replay = choice_replay(cfg, key, state.tick - start)
+        assert state.rng.bit_generator.state == replay.bit_generator.state
+    return [state.tick - start for state in states]
+
+
+class TestDrawAhead:
+    """run_lockstep draws each run's selections up to DRAW_AHEAD ticks ahead
+    and rewinds the generators at the end: each ends exactly where one
+    rng.choice call per tick the run took leaves a fresh one."""
+
+    def test_mixed_batch(self):
+        tiny = ExperimentConfig(**{**BASE, "grid_width": 3, "grid_height": 3})
+        full = ExperimentConfig(**{**BASE, "grid_width": 101, "grid_height": 101})
+        configs = [*mixed_configs(), tiny, full]
+        # the 3x3 run draws no cells; the 101x101 run takes numpy's shuffle branch
+        assert selection_count(9) == 0 and selection_count(101 * 101) > 10_201 // 50
+        taken = ticks_and_rewound_generators(configs, experiments._stop_rule(configs[0]))
+        assert taken[2] == BASE["max_ticks"]  # the economic baseline is capped
+        assert sum(t % DRAW_AHEAD != 0 for t in taken) >= 3  # runs that end mid-refill
+        assert taken[-1] % DRAW_AHEAD != 0
+
+    def test_scheduled_batch(self):
+        ramp = ((0, 0.0), (37, 0.5))
+        tiny = ExperimentConfig(**{**BASE, "grid_width": 3, "grid_height": 3}, schedule=ramp)
+        configs = [replace(cfg, schedule=ramp) for cfg in scheduled_configs()] + [tiny]
+        assert ticks_and_rewound_generators(configs, AttitudeSchedule(ramp)) == [37] * 4
+
+    def test_batch_starting_at_tick_12(self):
+        configs = mixed_configs()[:4]
+        taken = ticks_and_rewound_generators(configs, StopRule(90, 20, 0.01), start=12)
+        assert max(taken) == 90 - 12
+        assert any(t % DRAW_AHEAD for t in taken)
+
+    @given(
+        sides=st.lists(st.tuples(st.integers(3, 12), st.integers(3, 12)), min_size=1, max_size=4),
+        window=st.integers(1, 40),
+        extra=st.integers(0, 40),
+        epsilon=st.sampled_from([0.005, 0.02, 0.1, 1.0]),
+        start=st.integers(0, 20),
+        seed=st.integers(0, 1000),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_random_batches(self, sides, window, extra, epsilon, start, seed):
+        configs = [
+            ExperimentConfig(grid_width=w, grid_height=h, demand_mat=5.0 * w * h, demand_nm=5.0 * w * h,
+                             seed=seed)
+            for w, h in sides
+        ]
+        ticks_and_rewound_generators(configs, StopRule(window + extra, window, epsilon), start)
 
 
 class TestCampaignBatches:

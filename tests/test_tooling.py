@@ -5,7 +5,7 @@ package no longer defines is skipped and its layer reads zero. The first test
 fails instead, so a rename is caught with the code that made it. The README
 tests catch a quick-start command or a named file that no longer exists, a
 flag table that no longer lists exactly the flags each command takes, and a
-batch budget that no longer matches the code's.
+batch budget or a draw-ahead span that no longer matches the code's.
 """
 
 import argparse
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from ablum import cli, experiments, load_config
+from ablum import cli, dynamics, experiments, load_config
 
 REPO = Path(__file__).resolve().parents[1]
 BENCH_DIR = REPO / "perfbench"
@@ -70,3 +70,8 @@ def test_readme_names_only_existing_presets_and_scripts():
 def test_readme_cell_budget_matches_the_code():
     (budget,) = re.findall(r"budget of ([\d,]+) cells", PERFORMANCE)
     assert int(budget.replace(",", "")) == experiments.CELL_BUDGET
+
+
+def test_readme_draw_ahead_matches_the_code():
+    (ticks,) = re.findall(r"for\s+up\s+to\s+(\d+)\s+ticks", PERFORMANCE)
+    assert int(ticks) == dynamics.DRAW_AHEAD
