@@ -3,7 +3,7 @@
 Subcommands: run, sweep, hysteresis, sobol, landscape, metrics; each takes
 only the flags it reads (_COMMANDS). All artefacts are deterministic CSV/JSON;
 rerunning a command with the same config and seed reproduces identical bytes.
-hysteresis and sobol also print a short summary.
+sweep, hysteresis and sobol also print a short summary.
 """
 
 from __future__ import annotations
@@ -27,8 +27,17 @@ from .experiments import (
     run_single,
     run_sobol,
     run_sweep,
+    seed_streams,
 )
 from .landscape import LandscapeGrid
+
+# A sweep point's regime glyph: its dominant class (conservation, medium,
+# high) by final shares averaged over its replicates, or MIXED when no class
+# reaches DOMINANT_SHARE.
+GLYPHS = (".", "o", "#")
+MIXED = "="
+DOMINANT_SHARE = 0.45
+_FINAL_SHARES = ("final_share_c", "final_share_mi", "final_share_hi")
 
 
 def _default_threads() -> int:
@@ -107,7 +116,31 @@ def _cmd_sweep(args) -> int:
     names, rows = run_sweep(config, sweep, threads=args.threads)
     args.out.mkdir(parents=True, exist_ok=True)
     fileio.write_sweep_csv(args.out / "sweep.csv", names, rows)
+    _print_regime_map(names, rows)
     return 0
+
+
+def _print_regime_map(names: list[str], rows: list[dict]) -> None:
+    """One line of glyphs per value of the last swept parameter, highest
+    first, with one glyph per value of the first, lowest first."""
+    first, *rest = names
+    points: dict[tuple, list[list[float]]] = {}
+    for row in rows:
+        key = (tuple(row[name] for name in rest), row[first])
+        points.setdefault(key, []).append([row[share] for share in _FINAL_SHARES])
+    axes = f"columns: {first}, lowest first"
+    print(f"rows: {rest[0]}, highest first; {axes}" if rest else axes)
+    print(f"glyphs: {GLYPHS[0]} conservation, {GLYPHS[1]} medium, {GLYPHS[2]} high, {MIXED} mixed")
+    ys = sorted({y for y, _ in points}, reverse=True)
+    labels = [" ".join(f"{value:g}" for value in y) for y in ys]
+    width = max(map(len, labels))
+    for label, y in zip(labels, ys):
+        line = []
+        for x in sorted({x for _, x in points}):
+            mean = [sum(share) / len(share) for share in zip(*points[y, x])]
+            top = mean.index(max(mean))
+            line.append(GLYPHS[top] if mean[top] >= DOMINANT_SHARE else MIXED)
+        print(f"  {label:>{width}}  " + " ".join(line))
 
 
 def _cmd_hysteresis(args) -> int:
@@ -155,7 +188,7 @@ def _cmd_sobol(args) -> int:
 def _cmd_landscape(args) -> int:
     """Emit the capital fields as CSV."""
     config = _load(args)
-    c_prod, c_nat = run_capitals(config, (config.seed, 0, 0))
+    c_prod, c_nat = run_capitals(config, seed_streams((config.seed, 0, 0)))
     grid = LandscapeGrid(
         config.grid_width,
         config.grid_height,

@@ -1,11 +1,12 @@
 """Simulation engine: demand-driven competition gated by giving-in thresholds.
 
-Each tick recomputes landscape supply, draws a random subset of cells, and
-lets the non-incumbent management types compete for each drawn cell against a
-start-of-tick snapshot. A competitor wins only if its utility surplus over
-the incumbent strictly exceeds the manager's giving-in threshold; among
-admissible competitors the largest surplus-over-threshold wins, with ties
-broken towards the smaller intensity jump, then the lower type id.
+Each tick prices against the landscape's current supply, draws a random
+subset of cells, and lets the non-incumbent management types compete for
+each drawn cell against a start-of-tick snapshot. A competitor wins only
+if its utility surplus over the incumbent strictly exceeds the manager's
+giving-in threshold; among admissible competitors the largest
+surplus-over-threshold wins, with ties broken towards the smaller intensity
+jump, then the lower type id.
 
 One engine serves one run and many: a Lockstep batch advances independent
 runs together, one vectorised tick for all, and a single run is a batch of
@@ -252,7 +253,8 @@ class Lockstep:
 
     Runs keep their own generator, demand and supply. A tick draws only the
     runs in ``live`` (ascending). ``supply[b]`` is run b's (material,
-    non-material) supply, valid unless ``stale[b]``.
+    non-material) supply, priced when the batch is built and again by every
+    commit that changes the run's land use.
 
     ``picks[b, t]`` holds run b's cells for the t-th tick since the last
     refill, which draws every live run at once: one tick, or, when
@@ -305,9 +307,9 @@ class Lockstep:
         np.add.at(self.neighbour_counts.reshape(-1), src * _N_TYPES + self.aft_id[dst], 1)
         self.class_counts = np.array([np.bincount(g.aft_id, minlength=_N_TYPES) for g in grids])
         self.demand = np.array([(s.demand.d_mat, s.demand.d_nm) for s in self.states])
-        self.supply = np.zeros((len(self.states), 2))
-        self.stale = np.ones(len(self.states), dtype=bool)
+        self.supply = np.empty((len(self.states), 2))
         self.live = np.arange(len(self.states))
+        self.refresh_supply(self.live)
         self.last_tick = last_tick
         self.picks = np.empty((len(self.states), 0, 0), dtype=np.int64)
         self.next_pick = 0
@@ -353,12 +355,11 @@ class Lockstep:
             _choice_draws(rngs, n, selection_count(n), taken)
 
     def refresh_supply(self, runs: np.ndarray) -> None:
-        """Recompute the supply of the given runs where a commit made it
-        stale, into ``supply`` and into each run's demand state."""
-        for b in runs[self.stale[runs]].tolist():
+        """Price the supply of the given runs, into ``supply`` and into each
+        run's demand state."""
+        for b in runs.tolist():
             demand = self.states[b].demand
             demand.s_mat, demand.s_nm = self.supply[b] = total_supply(self.states[b].grid)
-        self.stale[runs] = False
 
     def refresh_attitude(self) -> None:
         """Re-join the attitudes after a schedule changed some of them."""
@@ -400,7 +401,7 @@ class Lockstep:
         np.add.at(self.neighbour_counts.reshape(-1), nb + new[at], np.int32(1))
         np.add.at(self.class_counts, (runs, old), -1)
         np.add.at(self.class_counts, (runs, new), 1)
-        self.stale[runs] = True
+        self.refresh_supply(np.unique(runs))
 
 
 def tick(state: SimulationState | Lockstep) -> TickReport:
@@ -414,7 +415,6 @@ def tick(state: SimulationState | Lockstep) -> TickReport:
     """
     batch = state if isinstance(state, Lockstep) else Lockstep([state])
     live = batch.live
-    batch.refresh_supply(live)
     sel = batch.select()
     for b in live.tolist():
         batch.states[b].tick += 1
@@ -546,8 +546,6 @@ def run_lockstep(
     blocks: list[tuple[np.ndarray, np.ndarray]] = []
 
     def record(runs: np.ndarray, step: int) -> None:
-        # The supply recorded after a tick is the next tick's pre-tick supply.
-        batch.refresh_supply(runs)
         shares = batch.class_counts[runs] / batch.n_cells[runs, None]
         recent[runs, :, step % (window + 1)] = shares
         if scheduled:

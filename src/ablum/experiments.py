@@ -70,17 +70,15 @@ class SeedStreams(NamedTuple):
     sim: np.random.SeedSequence
 
 
-def seed_streams(master: np.random.SeedSequence | tuple[int, ...]) -> SeedStreams:
-    """Split a master seed, or its key, into the run's streams."""
-    if not isinstance(master, np.random.SeedSequence):
-        master = np.random.SeedSequence(master)
-    return SeedStreams(*master.spawn(len(SeedStreams._fields)))
+def seed_streams(key: tuple[int, ...]) -> SeedStreams:
+    """Split the master seed of a seed key into the run's streams."""
+    return SeedStreams(*np.random.SeedSequence(key).spawn(len(SeedStreams._fields)))
 
 
-def run_capitals(config: ExperimentConfig, key: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The capital fields of the run with this seed key, as its build draws them."""
+def run_capitals(config: ExperimentConfig, streams: SeedStreams) -> tuple[np.ndarray, np.ndarray]:
+    """The capital fields of the run with these streams, as its build draws them."""
     return generate_capitals(
-        config.grid_width, config.grid_height, config.peaks, config.noise_amp, seed_streams(key).capital
+        config.grid_width, config.grid_height, config.peaks, config.noise_amp, streams.capital
     )
 
 
@@ -126,9 +124,8 @@ def build_state(
     ``lattices`` maps (width, height, radius) to a built lattice; the runs
     of one batch share it, and a missing lattice is built and added.
     """
-    key = key if key is not None else (config.seed, 0)
-    streams = seed_streams(key)
-    c_prod, c_nat = run_capitals(config, key)
+    streams = seed_streams(key if key is not None else (config.seed, 0, 0))
+    c_prod, c_nat = run_capitals(config, streams)
     n = config.grid_width * config.grid_height
     aft_id = init_land_use(n, config.shares, streams.init)
     profiles, attitude_offsets = _build_profiles(config, n, streams.profiles)
@@ -344,7 +341,7 @@ def recompute_metrics(
             f"map is {width}x{height} but config grid is "
             f"{config.grid_width}x{config.grid_height}"
         )
-    c_prod, c_nat = run_capitals(config, (config.seed, 0, rep))
+    c_prod, c_nat = run_capitals(config, seed_streams((config.seed, 0, rep)))
     grid = LandscapeGrid(width, height, c_prod, c_nat, aft_id)
     return RunSummary(
         *intensity_shares(grid).values(),

@@ -198,6 +198,46 @@ class TestSweep:
         entry("sweep", "--config", cfg, "--out", b)
         assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
 
+    TINY = SMALL.replace("max_ticks = 40", "max_ticks = 30") + (
+        "\n[sweep]\nparams = attitude_mean, -1, 1, 3; norm_weight_w, 0, 1, 2\n"
+    )
+    MEDIUM_RICH = "\n[init]\nshare_c = 0.1\nshare_mi = 0.8\nshare_hi = 0.1\n"
+    PLANE = "rows: norm_weight_w, highest first; columns: attitude_mean, lowest first"
+    GLYPHS = "glyphs: . conservation, o medium, # high, = mixed"
+
+    def _regime_map(self, tmp_path, capsys, config):
+        """`ablum sweep` on config: the lines it prints, after checking that
+        --out holds only sweep.csv."""
+        cfg = tmp_path / "regime.cfg"
+        cfg.write_text(config)
+        assert entry("sweep", "--config", cfg, "--out", tmp_path / "out") == 0
+        assert sorted(p.name for p in (tmp_path / "out").rglob("*")) == ["sweep.csv"]
+        return capsys.readouterr().out.splitlines()
+
+    def test_prints_regime_map(self, tmp_path, capsys):
+        printed = self._regime_map(tmp_path, capsys, self.TINY)
+        assert printed == [self.PLANE, self.GLYPHS, "  1  # # o", "  0  # # ="]
+
+    def test_regime_map_medium_rich_recipe(self, tmp_path, capsys):
+        printed = self._regime_map(tmp_path, capsys, self.TINY + self.MEDIUM_RICH)
+        assert printed[2:] == ["  1  o o o", "  0  # o o"]
+
+    def test_one_parameter_map_is_one_line(self, tmp_path, capsys):
+        config = self.TINY.replace("; norm_weight_w, 0, 1, 2", "")
+        printed = self._regime_map(tmp_path, capsys, config)
+        assert printed == ["columns: attitude_mean, lowest first", self.GLYPHS, "    # # ="]
+
+    def test_regime_map_averages_replicates(self, capsys):
+        shares = ("final_share_c", "final_share_mi", "final_share_hi")
+        rows = [
+            dict(attitude_mean=0.0, norm_weight_w=0.0, **dict(zip(shares, values)))
+            for values in ((0.8, 0.2, 0.0), (0.0, 0.2, 0.8))
+        ]
+        cli._print_regime_map(["attitude_mean", "norm_weight_w"], rows)
+        assert capsys.readouterr().out.splitlines()[2:] == ["  0  ="]
+        cli._print_regime_map(["attitude_mean", "norm_weight_w"], rows[:1])
+        assert capsys.readouterr().out.splitlines()[2:] == ["  0  ."]
+
 
 class TestHysteresis:
     def test_needs_schedule(self, small_cfg, tmp_path, capsys):

@@ -17,10 +17,13 @@ from ablum import (
     BehaviouralProfile,
     ConfigurationError,
     DemandState,
+    ExperimentConfig,
     LandscapeGrid,
     SimulationState,
     apply_attitude_schedule,
     build_lattice,
+    build_state,
+    dynamics,
     evaluate_transition,
     run_schedule,
     run_until_stable,
@@ -30,7 +33,7 @@ from ablum import (
     unit_benefit,
     utility,
 )
-from ablum.dynamics import DRAW_AHEAD, Lockstep, _choice_draws
+from ablum.dynamics import DRAW_AHEAD, Lockstep, StopRule, _choice_draws, run_lockstep
 
 
 def make_state(
@@ -285,6 +288,11 @@ def snapshot_replay(state):
     return report, expected
 
 
+def changed_runs(batch, report):
+    """The runs of a batch whose land use the tick's report changed."""
+    return np.unique(np.searchsorted(batch.offsets, report.cells, "right") - 1)
+
+
 class TestTick:
     def test_supply_bookkeeping(self):
         # without thresholds the first tick changes both runs' land use
@@ -293,9 +301,8 @@ class TestTick:
             make_state(seed=1, capital_seed=9, economic_baseline=True),
         ]
         batch = Lockstep(states)
-        tick(batch)
-        assert batch.stale.all()
-        batch.refresh_supply(batch.live)
+        report = tick(batch)
+        assert changed_runs(batch, report).tolist() == [0, 1]
         for b, state in enumerate(states):
             expected = total_supply(state.grid)
             assert tuple(batch.supply[b].tolist()) == expected
@@ -305,6 +312,36 @@ class TestTick:
                 DEFAULT_AFTS[grid.aft_id[i]].s_prod * grid.c_prod[i] for i in range(grid.n_cells)
             )
             assert expected[0] == pytest.approx(ref_mat, abs=1e-9)
+
+    def test_bare_tick_leaves_demand_current(self):
+        config = ExperimentConfig(
+            grid_width=25, grid_height=25, demand_mat=300, demand_nm=300, economic_baseline=True
+        )
+        state = build_state(config, (0, 0, 0))
+        assert tick(state).cells.size == 18
+        assert (state.demand.s_mat, state.demand.s_nm) == total_supply(state.grid)
+
+    def test_lockstep_prices_each_run_once_per_changing_tick(self, monkeypatch):
+        # one price per run at build, then one per run and tick that changed
+        # the run's land use, as the reports of the ticks show
+        states = [make_state(seed=s, capital_seed=5 + s, economic_baseline=s % 2 == 0) for s in range(4)]
+        changing = []
+        priced = []
+
+        def counted_tick(batch):
+            report = tick(batch)
+            changing.append(changed_runs(batch, report).size)
+            return report
+
+        def counted_supply(grid):
+            priced.append(grid)
+            return total_supply(grid)
+
+        monkeypatch.setattr(dynamics, "tick", counted_tick)
+        monkeypatch.setattr(dynamics, "total_supply", counted_supply)
+        run_lockstep(states, StopRule(max_ticks=40, window=5))
+        assert sum(changing) > len(changing) > 0
+        assert len(priced) == len(states) + sum(changing)
 
     def test_fixed_point_when_saturated(self):
         # oversupplied demands give zero benefit, so no surplus ever

@@ -295,7 +295,7 @@ class TestRecomputeMetrics:
         # a noisy replicate's map is priced with its own capitals
         cfg = small_config(noise_amp=0.1, replications=2)
         res = run_replicates(cfg)[1]
-        c_prod, c_nat = experiments.run_capitals(cfg, (cfg.seed, 0, 1))
+        c_prod, c_nat = experiments.run_capitals(cfg, experiments.seed_streams((cfg.seed, 0, 1)))
         assert np.array_equal(c_prod, res.state.grid.c_prod)
         assert np.array_equal(c_nat, res.state.grid.c_nat)
         summary = recompute_metrics(cfg, 9, 9, res.state.grid.aft_id, rep=1)

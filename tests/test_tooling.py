@@ -59,7 +59,7 @@ def test_readme_flag_table_matches_parser():
 
 def test_readme_names_only_existing_presets_and_scripts():
     named = set(re.findall(r"(?:presets/[\w.-]+\.cfg|scripts/[\w.-]+\.py)", README))
-    assert any(name.startswith("scripts/") for name in named)
+    assert any(name.startswith("presets/") for name in named)
     missing = sorted(name for name in named if not (REPO / name).is_file())
     assert missing == []
     for name in sorted(named):
