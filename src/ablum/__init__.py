@@ -93,6 +93,7 @@ from .metrics import (
     total_supply,
 )
 from .network import (
+    MooreLattice,
     SocialNetwork,
     TeleconnectedNetwork,
     add_teleconnections,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InvalidTransitionError
 from .landscape import DEFAULT_AFTS, INTENSITY, AgentFunctionalType, LandscapeGrid
-from .network import SocialNetwork, neighbour_intensity_fraction
+from .network import Network, neighbour_intensity_fraction
 
 # Exponent clamp keeps the logistic finite for any influence score.
 _EXP_CLAMP = 60.0
@@ -122,7 +122,7 @@ def giving_in_threshold(profile: BehaviouralProfile, globals_: BehaviourGlobals,
 
 def evaluate_transition(
     grid: LandscapeGrid,
-    net: SocialNetwork,
+    net: Network,
     i: int,
     candidate: AgentFunctionalType,
     globals_: BehaviourGlobals,

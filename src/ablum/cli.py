@@ -43,9 +43,12 @@ _FINAL_SHARES = ("final_share_c", "final_share_mi", "final_share_hi")
 def _default_threads() -> int:
     raw = os.environ.get("ABLUM_THREADS", "1")
     try:
-        return int(raw)
+        threads = int(raw)
     except ValueError:
         raise ConfigurationError(f"ABLUM_THREADS must be an integer, got {raw!r}") from None
+    if threads < 1:
+        raise ConfigurationError(f"ABLUM_THREADS must be at least 1, got {raw!r}")
+    return threads
 
 
 _OPTIONS = {
@@ -237,8 +240,11 @@ def cli_entry(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if "threads" in args and args.threads is None:
-            args.threads = _default_threads()
+        if "threads" in args:
+            if args.threads is None:
+                args.threads = _default_threads()
+            elif args.threads < 1:
+                raise ConfigurationError("--threads must be at least 1")
         return _COMMANDS[args.command][0](args)
     except (ConfigurationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

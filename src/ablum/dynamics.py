@@ -35,7 +35,7 @@ from .behaviour import BehaviourGlobals, BehaviouralProfile, _giving_in, _influe
 from .errors import ConfigurationError
 from .landscape import DEFAULT_AFTS, INTENSITY, S_NAT, S_PROD, AgentFunctionalType, Cell, LandscapeGrid
 from .metrics import Trajectory, total_supply
-from .network import Network, SocialNetwork
+from .network import Network
 
 # Fraction of cells reconsidering their management each tick.
 UPDATE_FRACTION = 0.05
@@ -44,8 +44,6 @@ UPDATE_FRACTION = 0.05
 DRAW_AHEAD = 16
 
 _N_TYPES = len(DEFAULT_AFTS)
-# Rows per block when counting neighbour classes over a whole network.
-_ROW_BLOCK = 1024
 # Row i, column j: whether type j's intensity is at or above (below) type i's.
 _AT_OR_ABOVE = INTENSITY[None, :] >= INTENSITY[:, None]
 _AT_OR_BELOW = INTENSITY[None, :] <= INTENSITY[:, None]
@@ -223,18 +221,6 @@ def _choice_draws(rngs: list[np.random.Generator], n: int, k: int, ticks: int) -
     return _floyd(draws[:, :k], n).reshape(len(rngs), ticks, k)
 
 
-def _class_counts(net: SocialNetwork, aft_id: np.ndarray) -> np.ndarray:
-    """(n_cells, _N_TYPES) counts of each class among every cell's neighbours."""
-    counts = np.empty((net.n_cells, _N_TYPES), dtype=np.int32)
-    # Blocks of rows bound the temporaries on the largest lattices.
-    for lo in range(0, net.n_cells, _ROW_BLOCK):
-        hi = min(lo + _ROW_BLOCK, net.n_cells)
-        keys = np.repeat(np.arange(hi - lo), np.diff(net.indptr[lo : hi + 1])) * _N_TYPES
-        keys += aft_id[net.indices[net.indptr[lo] : net.indptr[hi]]]
-        counts[lo:hi] = np.bincount(keys, minlength=(hi - lo) * _N_TYPES).reshape(-1, _N_TYPES)
-    return counts
-
-
 class Lockstep:
     """B independent runs advanced together, one `tick` for all of them.
 
@@ -247,8 +233,9 @@ class Lockstep:
     per class) current.
 
     Networks are never copied per run: the batch keeps each distinct lattice
-    once (``lattices``; run b uses ``lattices[lattice_of[b]]``) and joins only
-    the runs' teleconnections, as directed batch-cell pairs sorted by source
+    value once (``lattices``; run b uses ``lattices[lattice_of[b]]``), reads
+    its neighbours through the lattice's stencil, and joins only the runs'
+    teleconnections, as directed batch-cell pairs sorted by source
     (``tele_src``, ``tele_dst``).
 
     Runs keep their own generator, demand and supply. A tick draws only the
@@ -290,13 +277,12 @@ class Lockstep:
         economic = np.array([s.economic_baseline for s in self.states])
         self.economic = economic if economic.any() else None
 
-        distinct = {id(net.lattice): net.lattice for net in nets}
-        self.lattices = list(distinct.values())
-        self.lattice_of = np.array([list(distinct).index(id(net.lattice)) for net in nets])
-        lattice_degrees = [np.diff(lattice.indptr) for lattice in self.lattices]
+        self.lattices = list(dict.fromkeys(net.lattice for net in nets))
+        self.lattice_of = np.array([self.lattices.index(net.lattice) for net in nets])
+        lattice_degrees = [lattice.degrees() for lattice in self.lattices]
         self.degree = _join([lattice_degrees[g] for g in self.lattice_of])
         self.neighbour_counts = _join(
-            [_class_counts(net.lattice, g.aft_id) for net, g in zip(nets, grids)]
+            [net.lattice.class_counts(g.aft_id, _N_TYPES) for net, g in zip(nets, grids)]
         )
         # Both directions of every teleconnection, as batch cells sorted by source.
         lo, hi = np.concatenate([net.tele + o for net, o in zip(nets, self.offsets)]).T
@@ -373,14 +359,12 @@ class Lockstep:
         offset = self.offsets[runs]
         rows = cells - offset
         if len(self.lattices) == 1:
-            (lattice,) = self.lattices
-            nb, at = _gather(lattice.indices, lattice.indptr[rows], lattice.indptr[rows + 1])
+            nb, at = self.lattices[0].gather(rows)
         else:
             parts = []
             for g, lattice in enumerate(self.lattices):
                 mine = np.flatnonzero(self.lattice_of[runs] == g)
-                mine_rows = rows[mine]
-                nb, at = _gather(lattice.indices, lattice.indptr[mine_rows], lattice.indptr[mine_rows + 1])
+                nb, at = lattice.gather(rows[mine])
                 parts.append((nb, mine[at]))
             nb, at = (np.concatenate(p) for p in zip(*parts))
         nb += offset[at]

@@ -40,7 +40,7 @@ from .metrics import (
     share_trajectory_summary,
     total_supply,
 )
-from .network import SocialNetwork, add_teleconnections, build_lattice
+from .network import add_teleconnections, build_lattice
 from .sensitivity import (
     ParameterSpace,
     SaltelliDesign,
@@ -52,9 +52,11 @@ from .sensitivity import (
 )
 
 # Cells per lockstep batch of a campaign: 160 runs of 25x25 (a whole
-# sobol_screen design) or 9 of 101x101. Runs share one lattice per shape and
-# keep only their teleconnections, so memory grows with the cells, and a
-# budget of 262,144 (a whole 25-run 101x101 sweep) cost 11% more peak RSS.
+# sobol_screen design) or 9 of 101x101. A run's lattice is held as its shape
+# and the run keeps only its teleconnections, so memory grows with the cells.
+# A budget of 262,144 (a whole 25-run 101x101 sweep) peaked at 142.0-142.4 MB
+# on the network_maps benchmark, against about 117.6 MB at this budget, and
+# its gain in runs/s was not resolved.
 CELL_BUDGET = 100_000
 
 
@@ -113,17 +115,9 @@ def _build_profiles(config: ExperimentConfig, n: int, seed_seq) -> tuple[Behavio
     return profile, attitude_offsets
 
 
-def build_state(
-    config: ExperimentConfig,
-    key: tuple[int, ...] | None = None,
-    lattices: dict[tuple[int, int, int], SocialNetwork] | None = None,
-) -> SimulationState:
+def build_state(config: ExperimentConfig, key: tuple[int, ...] | None = None) -> SimulationState:
     """Assemble a ready-to-run simulation; the seed key's master seed splits
-    into the streams of SeedStreams.
-
-    ``lattices`` maps (width, height, radius) to a built lattice; the runs
-    of one batch share it, and a missing lattice is built and added.
-    """
+    into the streams of SeedStreams."""
     streams = seed_streams(key if key is not None else (config.seed, 0, 0))
     c_prod, c_nat = run_capitals(config, streams)
     n = config.grid_width * config.grid_height
@@ -132,11 +126,8 @@ def build_state(
     grid = LandscapeGrid(
         config.grid_width, config.grid_height, c_prod, c_nat, aft_id, profiles=profiles
     )
-    shape = (config.grid_width, config.grid_height, config.moore_radius)
-    lattices = {} if lattices is None else lattices
-    if shape not in lattices:
-        lattices[shape] = build_lattice(*shape)
-    net = add_teleconnections(lattices[shape], config.n_tele, streams.net)
+    lattice = build_lattice(config.grid_width, config.grid_height, config.moore_radius)
+    net = add_teleconnections(lattice, config.n_tele, streams.net)
     return SimulationState(
         grid=grid,
         network=net,
@@ -195,8 +186,7 @@ def _run_batch(args) -> list:
     """Build and run one batch of (config, seed key) jobs in lockstep, then
     map each run through ``finish(config, key, state, trajectory)``."""
     jobs, finish = args
-    lattices: dict = {}
-    states = [build_state(config, key, lattices) for config, key in jobs]
+    states = [build_state(config, key) for config, key in jobs]
     trajectories = run_lockstep(states, _stop_rule(jobs[0][0]))
     return [finish(c, key, s, t) for (c, key), s, t in zip(jobs, states, trajectories)]
 
@@ -316,9 +306,12 @@ def run_sobol(
 
 
 def _parallel_map(fn, jobs, threads):
-    if threads <= 1:
+    # Under the fork start method a pool starts all its workers at once, so
+    # it gets no more workers than jobs.
+    workers = min(threads, len(jobs))
+    if workers <= 1:
         return [fn(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs))
 
 

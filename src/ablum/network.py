@@ -1,11 +1,16 @@
 """Social network over grid cells: Moore lattice plus long-range links.
 
 The lattice connects every pair of cells within a Chebyshev radius, with hard
-boundaries (no wrap-around). Long-range links (teleconnections) are extra
-undirected edges between uniformly sampled non-adjacent cell pairs, held as an
-overlay: runs of one grid and radius share one read-only lattice, and each
-keeps only its own pairs. Networks are immutable once built; augmentation
-returns a new one.
+boundaries (no wrap-around). It is held as its shape, the value (width,
+height, radius): degrees and the edge count are closed forms, neighbours come
+from a stencil of offsets, and neighbour class counts are box sums over a
+prefix sum of the land use, all O(cells) in memory at any radius.
+Long-range links (teleconnections) are extra undirected edges between
+uniformly sampled non-adjacent cell pairs, held as an overlay: each run keeps
+only its own pairs beside its lattice. Networks are immutable once built;
+augmentation returns a new one. The CSR form (``indptr``, ``indices``,
+``neighbours``) is built on first use, for the scalar decision functions; the
+engine never builds it.
 """
 
 from __future__ import annotations
@@ -23,27 +28,16 @@ _NO_PAIRS.flags.writeable = False
 
 @dataclass(frozen=True)
 class SocialNetwork:
-    """Undirected graph in CSR form; neighbour lists are sorted.
-
-    A plain CSR is its own lattice, with no teleconnections on top.
-    """
+    """Undirected graph in CSR form; neighbour lists are sorted."""
 
     n_cells: int
     indptr: np.ndarray
     indices: np.ndarray
 
     def __post_init__(self):
-        # Runs in a campaign batch share one lattice, so its arrays are frozen.
+        # A network caches its CSR and hands the same arrays to every caller.
         self.indptr.flags.writeable = False
         self.indices.flags.writeable = False
-
-    @property
-    def lattice(self) -> SocialNetwork:
-        return self
-
-    @property
-    def tele(self) -> np.ndarray:
-        return _NO_PAIRS
 
     @property
     def num_edges(self) -> int:
@@ -63,31 +57,133 @@ class SocialNetwork:
         keep = src < self.indices
         return np.column_stack([src[keep], self.indices[keep]])
 
-    def has_edges(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Whether each edge (i, j) exists, by bisection within the sorted rows."""
-        lo, end = self.indptr[i], self.indptr[i + 1]
-        if self.indices.size == 0:
-            return np.zeros(lo.shape, dtype=bool)
-        hi, last = end, self.indices.size - 1
-        # Each step halves every row's open interval [lo, hi).
-        for _ in range(int(np.diff(self.indptr).max()).bit_length()):
-            mid = (lo + hi) // 2
-            less = self.indices[np.minimum(mid, last)] < j
-            lo, hi = np.where((lo < hi) & less, mid + 1, lo), np.where((lo < hi) & ~less, mid, hi)
-        return (lo < end) & (self.indices[np.minimum(lo, last)] == j)
+
+def _csr(n_cells: int, src: np.ndarray, dst: np.ndarray) -> SocialNetwork:
+    """The CSR of the directed pairs (src, dst), each row sorted."""
+    indptr = np.zeros(n_cells + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n_cells), out=indptr[1:])
+    return SocialNetwork(n_cells=n_cells, indptr=indptr, indices=dst[np.lexsort((dst, src))])
+
+
+class _OnDemandCsr:
+    """CSR queries of a network whose CSR (``csr``) is built on first use."""
+
+    csr: SocialNetwork
+
+    @property
+    def indptr(self) -> np.ndarray:
+        return self.csr.indptr
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self.csr.indices
+
+    def neighbours(self, i: int) -> np.ndarray:
+        return self.csr.neighbours(i)
+
+    def has_edge(self, i: int, j: int) -> bool:
+        return self.csr.has_edge(i, j)
+
+    def edge_pairs(self) -> np.ndarray:
+        return self.csr.edge_pairs()
 
 
 @dataclass(frozen=True)
-class TeleconnectedNetwork:
-    """A lattice, shared read-only by many runs, plus one run's teleconnections.
+class MooreLattice(_OnDemandCsr):
+    """The Moore lattice of a width x height grid, held as its shape.
+
+    Cell i sits at (x, y) = (i % width, i // width). A lattice is its own
+    network, with no teleconnections on top; two lattices of one shape are
+    equal.
+    """
+
+    width: int
+    height: int
+    radius: int
+
+    @property
+    def n_cells(self) -> int:
+        return self.width * self.height
+
+    @property
+    def lattice(self) -> MooreLattice:
+        return self
+
+    @property
+    def tele(self) -> np.ndarray:
+        return _NO_PAIRS
+
+    def _window(self, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """Along an axis of ``size`` cells, each cell's neighbourhood [lo, hi),
+        itself included, clipped to the grid."""
+        at = np.arange(size)
+        return np.maximum(at - self.radius, 0), np.minimum(at + self.radius + 1, size)
+
+    def degrees(self) -> np.ndarray:
+        """Every cell's neighbour count: the product of its clipped extents, minus 1."""
+        (y0, y1), (x0, x1) = self._window(self.height), self._window(self.width)
+        return (np.outer(y1 - y0, x1 - x0) - 1).reshape(-1)
+
+    @property
+    def num_edges(self) -> int:
+        return int(self.degrees().sum()) // 2
+
+    def has_edges(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Whether each (i, j) is an edge: distinct cells within the radius."""
+        (yi, xi), (yj, xj) = np.divmod(i, self.width), np.divmod(j, self.width)
+        return (i != j) & (np.maximum(np.abs(yi - yj), np.abs(xi - xj)) <= self.radius)
+
+    def class_counts(self, aft_id: np.ndarray, n_classes: int) -> np.ndarray:
+        """(n_cells, n_classes) int32, C-contiguous: each class among every
+        cell's neighbours, as box sums over a 2-D prefix sum of the one-hot
+        land use, minus the cell itself."""
+        h, w = self.height, self.width
+        onehot = (aft_id.reshape(h, w, 1) == np.arange(n_classes)).astype(np.int32)
+        table = np.zeros((h + 1, w + 1, n_classes), dtype=np.int32)
+        table[1:, 1:] = onehot.cumsum(axis=0, dtype=np.int32).cumsum(axis=1, dtype=np.int32)
+        (y0, y1), (x0, x1) = self._window(h), self._window(w)
+        y0, y1 = y0[:, None], y1[:, None]
+        counts = table[y1, x1] - table[y0, x1] - table[y1, x0] + table[y0, x0] - onehot
+        return counts.reshape(self.n_cells, n_classes)
+
+    @cached_property
+    def _stencil(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cell ids on the grid padded by the radius, -1 off the grid, flat;
+        and the flat offsets from a cell to its neighbours there, ascending."""
+        r, h, w = self.radius, self.height, self.width
+        ids = np.full((h + 2 * r, w + 2 * r), -1, dtype=np.int64)
+        ids[r : r + h, r : r + w] = np.arange(self.n_cells).reshape(h, w)
+        d = np.arange(-r, r + 1)
+        offsets = (d[:, None] * (w + 2 * r) + d).reshape(-1)
+        return ids.reshape(-1), np.delete(offsets, offsets.size // 2)
+
+    def gather(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Neighbours of the given cells, concatenated, each cell's ascending,
+        and for each neighbour the position in ``cells`` of the cell it
+        neighbours."""
+        ids, offsets = self._stencil
+        r = self.radius
+        y, x = np.divmod(cells, self.width)
+        nb = ids[((y + r) * (self.width + 2 * r) + x + r)[:, None] + offsets]
+        inside = nb >= 0
+        return nb[inside], np.nonzero(inside)[0]
+
+    @cached_property
+    def csr(self) -> SocialNetwork:
+        nb, at = self.gather(np.arange(self.n_cells))
+        return _csr(self.n_cells, at, nb)
+
+
+@dataclass(frozen=True)
+class TeleconnectedNetwork(_OnDemandCsr):
+    """A lattice plus one run's teleconnections.
 
     ``tele`` holds the added undirected edges as (i, j) rows with i < j, in
     ascending order. The engine reads the two parts apart; the merged CSR
-    (``indptr``, ``indices``, ``neighbours``) is built on first use, for the
-    scalar decision functions.
+    (``csr``) is built on first use, for the scalar decision functions.
     """
 
-    lattice: SocialNetwork
+    lattice: MooreLattice
     tele: np.ndarray
 
     def __post_init__(self):
@@ -102,37 +198,17 @@ class TeleconnectedNetwork:
         return self.lattice.num_edges + len(self.tele)
 
     @cached_property
-    def merged(self) -> SocialNetwork:
+    def csr(self) -> SocialNetwork:
         """Lattice and teleconnections as one CSR, each row sorted."""
-        n, lattice, (lo, hi) = self.n_cells, self.lattice, self.tele.T
-        src = np.concatenate([np.repeat(np.arange(n), np.diff(lattice.indptr)), lo, hi])
-        dst = np.concatenate([lattice.indices, hi, lo])
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        return SocialNetwork(n_cells=n, indptr=indptr, indices=dst[np.lexsort((dst, src))])
-
-    @property
-    def indptr(self) -> np.ndarray:
-        return self.merged.indptr
-
-    @property
-    def indices(self) -> np.ndarray:
-        return self.merged.indices
-
-    def neighbours(self, i: int) -> np.ndarray:
-        return self.merged.neighbours(i)
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return self.merged.has_edge(i, j)
-
-    def edge_pairs(self) -> np.ndarray:
-        return self.merged.edge_pairs()
+        nb, at = self.lattice.gather(np.arange(self.n_cells))
+        lo, hi = self.tele.T
+        return _csr(self.n_cells, np.concatenate([at, lo, hi]), np.concatenate([nb, hi, lo]))
 
 
-Network = SocialNetwork | TeleconnectedNetwork
+Network = MooreLattice | TeleconnectedNetwork
 
 
-def build_lattice(width: int, height: int, moore_radius: int) -> SocialNetwork:
+def build_lattice(width: int, height: int, moore_radius: int) -> MooreLattice:
     """Moore lattice of the given Chebyshev radius with hard boundaries."""
     if width < 1 or height < 1:
         raise ConfigurationError("grid dimensions must be positive")
@@ -142,24 +218,7 @@ def build_lattice(width: int, height: int, moore_radius: int) -> SocialNetwork:
         raise ConfigurationError(
             f"moore_radius {moore_radius} must be smaller than min(width, height)"
         )
-
-    # Stencil offsets dy outer, dx inner: since |dx| < width, cell + offset
-    # ascends with them, so every row comes out sorted.
-    n = width * height
-    d = np.arange(-moore_radius, moore_radius + 1)
-    dy, dx = np.repeat(d, d.size), np.tile(d, d.size)
-    off = (dy != 0) | (dx != 0)
-    dy, dx = dy[off], dx[off]
-    # inside[cell, k]: offset k from cell stays on the grid
-    x = np.arange(width)[:, None] + dx
-    y = np.arange(height)[:, None] + dy
-    inside = (((0 <= y) & (y < height))[:, None] & ((0 <= x) & (x < width))).reshape(n, -1)
-    # Built in 32 bits, then widened: half the peak memory of the largest lattices.
-    indices = (np.arange(n, dtype=np.int32)[:, None] + (dy * width + dx).astype(np.int32))[inside]
-    indices = indices.astype(np.int64)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(inside.sum(axis=1), out=indptr[1:])
-    return SocialNetwork(n_cells=n, indptr=indptr, indices=indices)
+    return MooreLattice(width, height, moore_radius)
 
 
 def add_teleconnections(net: Network, n_tele: int, seed: int | np.random.SeedSequence = 0) -> Network:
@@ -169,7 +228,7 @@ def add_teleconnections(net: Network, n_tele: int, seed: int | np.random.SeedSeq
     so ``seed`` is a seed, not a shared Generator. Self-pairs, existing edges
     and repeats of an earlier candidate are rejected; the first n_tele
     survivors in draw order are added. Deterministic for a given seed. The
-    result shares ``net``'s lattice and holds the new pairs beside net's own.
+    result has ``net``'s lattice and holds the new pairs beside net's own.
     """
     if n_tele < 0:
         raise ConfigurationError("n_tele must be >= 0")
@@ -205,7 +264,7 @@ def add_teleconnections(net: Network, n_tele: int, seed: int | np.random.SeedSeq
 
 
 def neighbour_intensity_fraction(
-    net: Network,
+    net: Network | SocialNetwork,
     intensities: np.ndarray,
     i: int,
     level: float,

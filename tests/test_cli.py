@@ -86,6 +86,15 @@ class TestConfigErrors:
     def test_bad_reps(self, small_cfg, tmp_path):
         assert entry("run", "--config", small_cfg, "--reps", "0", "--out", tmp_path / "o") == 1
 
+    @pytest.mark.parametrize("flag, env", [("0", "1"), ("-2", "1"), (None, "0"), (None, "-1")])
+    def test_threads_below_one(self, small_cfg, tmp_path, monkeypatch, capsys, flag, env):
+        monkeypatch.setenv("ABLUM_THREADS", env)
+        argv = ["run", "--config", small_cfg, "--out", tmp_path / "o"]
+        assert entry(*argv, *(("--threads", flag) if flag else ())) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and ("--threads" if flag else "ABLUM_THREADS") in err
+        assert not (tmp_path / "o").exists()
+
     def test_unwritable_out_dir(self, small_cfg, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")

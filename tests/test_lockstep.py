@@ -469,21 +469,59 @@ class TestCampaignBatches:
             assert_trajectories_equal(a.trajectory, b.trajectory)
             assert np.array_equal(a.state.grid.aft_id, b.state.grid.aft_id)
 
-    def test_batch_holds_no_per_run_network_copy(self):
-        # 64 runs share one radius-5 lattice; one CSR copy per run would
-        # alone take 64 times the lattice's indices
-        cfg = ExperimentConfig(grid_width=25, grid_height=25, moore_radius=5, n_tele=150)
-        lattice = build_lattice(25, 25, 5)
+    def test_lattice_set_up_is_linear_in_cells(self):
+        # The lattice is its shape: the radius-5 101x101 lattice, its degrees
+        # and its class counts take O(cells) memory, where writing its CSR
+        # (1.16 million int64 neighbour ids) peaked at 15.3 MB.
+        aft_id = np.random.default_rng(0).integers(3, size=101 * 101)
         tracemalloc.start()
         try:
-            states = [build_state(cfg, (cfg.seed, k, 0), {(25, 25, 5): lattice}) for k in range(64)]
-            batch = Lockstep(states)
-            tick(batch)
+            lattice = build_lattice(101, 101, 5)
+            lattice.degrees()
+            lattice.class_counts(aft_id, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert all(s.network.lattice is lattice for s in states)
-        assert peak < 64 * lattice.indices.nbytes
+        assert peak < 128 * lattice.n_cells
+
+    def test_a_batch_tick_builds_no_csr(self):
+        # 64 runs hold one lattice value between them, and a tick reads it
+        # through its stencil, never through a CSR
+        cfg = ExperimentConfig(grid_width=25, grid_height=25, moore_radius=5, n_tele=150)
+        states = [build_state(cfg, (cfg.seed, k, 0)) for k in range(64)]
+        batch = Lockstep(states)
+        report = tick(batch)
+        assert report.cells.size and batch.lattices == [build_lattice(25, 25, 5)]
+        for state in states:
+            assert "csr" not in vars(state.network) and "csr" not in vars(state.network.lattice)
+
+    def test_pool_gets_no_more_workers_than_batches(self, monkeypatch):
+        # 64 threads on a 2-batch campaign ask a pool for 2 workers, and a
+        # 1-batch campaign starts no pool; the stub pool starts no process
+        pools = []
+
+        class StubPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        cfg = replace(mixed_configs()[1], replications=2)
+        serial = run_replicates(cfg)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", StubPool)
+        parallel = run_replicates(cfg, threads=64)
+        assert pools == [2]
+        for a, b in zip(serial, parallel):
+            assert_trajectories_equal(a.trajectory, b.trajectory)
+        run_replicates(replace(cfg, replications=1), threads=64)
+        assert pools == [2]
 
     def test_design_rows_average_their_replicates(self):
         space = ParameterSpace(

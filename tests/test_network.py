@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from ablum import (
     ConfigurationError,
     ExperimentConfig,
+    MooreLattice,
     SocialNetwork,
     TeleconnectedNetwork,
     UndefinedFractionError,
@@ -32,6 +33,25 @@ def csr_from_pairs(n_cells: int, src: np.ndarray, dst: np.ndarray) -> SocialNetw
     indptr = np.zeros(n_cells + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     return SocialNetwork(n_cells=n_cells, indptr=indptr, indices=indices)
+
+
+def lattice_csr(width: int, height: int, radius: int) -> SocialNetwork:
+    """The stored CSR the stencil replaced: the stencil offsets, dy outer and
+    dx inner, self excluded, added to every cell, keeping the entries inside
+    the grid; since |dx| < width, every row comes out sorted."""
+    n = width * height
+    d = np.arange(-radius, radius + 1)
+    dy, dx = np.repeat(d, d.size), np.tile(d, d.size)
+    off = (dy != 0) | (dx != 0)
+    dy, dx = dy[off], dx[off]
+    # inside[cell, k]: offset k from cell stays on the grid
+    x = np.arange(width)[:, None] + dx
+    y = np.arange(height)[:, None] + dy
+    inside = (((0 <= y) & (y < height))[:, None] & ((0 <= x) & (x < width))).reshape(n, -1)
+    indices = (np.arange(n)[:, None] + dy * width + dx)[inside]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(inside.sum(axis=1), out=indptr[1:])
+    return SocialNetwork(n_cells=n, indptr=indptr, indices=indices)
 
 
 def lattice_by_offsets(width, height, radius):
@@ -205,20 +225,20 @@ class TestLatticeOracle:
                     assert np.array_equal(net.indptr, indptr), (w, h, r)
                     assert np.array_equal(net.indices, indices), (w, h, r)
 
-    def test_batch_shared_lattice_equals_fresh_build(self):
+    def test_runs_of_one_shape_share_a_lattice_value(self):
         cfg = ExperimentConfig(grid_width=9, grid_height=7, moore_radius=2)
-        lattices = {}
-        a = build_state(cfg, (1, 0, 0), lattices)
-        b = build_state(cfg, (1, 1, 0), lattices)
-        assert a.network is b.network is lattices[(9, 7, 2)]
-        fresh = build_lattice(9, 7, 2)
-        assert np.array_equal(a.network.indptr, fresh.indptr)
-        assert np.array_equal(a.network.indices, fresh.indices)
         tele = dataclasses.replace(cfg, n_tele=6)
-        shared = build_state(tele, (1, 2, 0), lattices).network
+        other = dataclasses.replace(cfg, moore_radius=1)
+        states = [build_state(c, (1, k, 0)) for k, c in enumerate([cfg, cfg, tele, other])]
+        a, b, c, d = (s.network for s in states)
+        assert a == b == c.lattice == build_lattice(9, 7, 2) == MooreLattice(9, 7, 2)
+        assert hash(a) == hash(c.lattice) and d == MooreLattice(9, 7, 1) != a
+        assert_same_csr(a, lattice_csr(9, 7, 2))
+        # a batch groups its runs by lattice value, not by object
+        batch = Lockstep(states)
+        assert batch.lattices == [a, d] and batch.lattice_of.tolist() == [0, 0, 0, 1]
         alone = build_state(tele, (1, 2, 0)).network
-        assert np.array_equal(shared.indptr, alone.indptr)
-        assert np.array_equal(shared.indices, alone.indices)
+        assert_same_csr(c, alone)
 
     @pytest.mark.parametrize("radius", [1, 2, 3, 4, 5])
     def test_full_grid_equals_sorted_pairs(self, radius):
@@ -231,6 +251,51 @@ class TestLatticeOracle:
             assert not arr.flags.writeable
         with pytest.raises(ValueError):
             net.indices[0] = 0
+
+
+def assert_stencil_equals_csr(lattice: MooreLattice, aft_id: np.ndarray, rng) -> None:
+    """Every stencil query of the lattice equals its answer from the stored
+    CSR build: degrees, edge count, class counts, gathers, edge tests and
+    neighbour lists."""
+    oracle = lattice_csr(lattice.width, lattice.height, lattice.radius)
+    n = lattice.n_cells
+    assert np.array_equal(lattice.degrees(), np.diff(oracle.indptr))
+    assert lattice.num_edges == oracle.num_edges
+    counts = lattice.class_counts(aft_id, 3)
+    assert counts.dtype == np.int32 and counts.flags.c_contiguous
+    assert np.array_equal(counts, class_counts_of(oracle, aft_id))
+    cells = rng.integers(n, size=min(n, 50))
+    nb, at = lattice.gather(cells)
+    assert np.array_equal(nb, np.concatenate([oracle.neighbours(c) for c in cells]))
+    assert np.array_equal(at, np.repeat(np.arange(cells.size), np.diff(oracle.indptr)[cells]))
+    # pairs a few rows apart: edges, self-pairs, and pairs across the side walls
+    i = rng.integers(n, size=400)
+    j = np.clip(i + rng.integers(-3 * lattice.width, 3 * lattice.width + 1, size=400), 0, n - 1)
+    assert lattice.has_edges(i, j).tolist() == [bool(oracle.has_edge(a, b)) for a, b in zip(i, j)]
+
+
+class TestStencilEqualsCsr:
+    @given(st.integers(3, 12), st.integers(3, 12), st.integers(0, 2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_every_radius_of_a_grid(self, w, h, seed):
+        rng = np.random.default_rng(seed)
+        aft_id = rng.integers(3, size=w * h)
+        for r in range(1, min(w, h)):
+            lattice = build_lattice(w, h, r)
+            assert_stencil_equals_csr(lattice, aft_id, rng)
+            oracle = lattice_csr(w, h, r)
+            for cell in range(lattice.n_cells):
+                assert np.array_equal(lattice.gather(np.array([cell]))[0], oracle.neighbours(cell))
+                assert np.array_equal(lattice.neighbours(cell), oracle.neighbours(cell))
+
+    @pytest.mark.parametrize(
+        "radius, edges", [(1, 40_200), (2, 119_400), (3, 236_412), (4, 390_060), (5, 579_180)]
+    )
+    def test_full_grid(self, radius, edges):
+        lattice = build_lattice(101, 101, radius)
+        assert lattice.num_edges == edges
+        rng = np.random.default_rng(radius)
+        assert_stencil_equals_csr(lattice, rng.integers(3, size=lattice.n_cells), rng)
 
 
 class TestTeleconnections:
@@ -400,13 +465,13 @@ class TestOverlayEqualsMergedBuild:
     @example([(3, 3, 1, 1.0, 0.0, 0)])
     @settings(max_examples=40, deadline=None)
     def test_degrees_counts_and_merged_view(self, runs):
-        # Two rounds of teleconnections over shared lattices, in one batch:
+        # Two rounds of teleconnections over lattices, in one batch:
         # the merged view, the batch degrees and the neighbour counts after
         # 20 ticks of commits all equal the np.insert-merged networks'.
-        lattices, states, merged = {}, [], []
+        states, merged = [], []
         for point, (w, h, r, fill, refill, seed) in enumerate(runs):
             r = min(r, min(w, h) - 1)
-            lattice = lattices.setdefault((w, h, r), build_lattice(w, h, r))
+            lattice = build_lattice(w, h, r)
             free = w * h * (w * h - 1) // 2 - lattice.num_edges
             n_tele = round(fill * free)
             n_more = round(refill * (free - n_tele))
