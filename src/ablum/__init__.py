@@ -94,7 +94,6 @@ from .metrics import (
 )
 from .network import (
     MooreLattice,
-    SocialNetwork,
     TeleconnectedNetwork,
     add_teleconnections,
     build_lattice,

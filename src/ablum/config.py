@@ -17,6 +17,8 @@ from dataclasses import MISSING, Field, astuple, dataclass, field, fields, is_da
 from pathlib import Path
 from typing import get_args
 
+import numpy as np
+
 from .dynamics import AttitudeSchedule
 from .errors import ConfigurationError
 from .landscape import default_peaks
@@ -69,8 +71,6 @@ class SweepParam:
             raise ConfigurationError(f"sweep {self.name}: lower must be <= upper")
 
     def values(self):
-        import numpy as np
-
         return np.linspace(self.lower, self.upper, self.steps)
 
 

@@ -8,9 +8,8 @@ prefix sum of the land use, all O(cells) in memory at any radius.
 Long-range links (teleconnections) are extra undirected edges between
 uniformly sampled non-adjacent cell pairs, held as an overlay: each run keeps
 only its own pairs beside its lattice. Networks are immutable once built;
-augmentation returns a new one. The CSR form (``indptr``, ``indices``,
-``neighbours``) is built on first use, for the scalar decision functions; the
-engine never builds it.
+augmentation returns a new one. A scalar neighbour query (``neighbours``)
+reads the same two parts: the stencil, then the run's pairs.
 """
 
 from __future__ import annotations
@@ -27,69 +26,7 @@ _NO_PAIRS.flags.writeable = False
 
 
 @dataclass(frozen=True)
-class SocialNetwork:
-    """Undirected graph in CSR form; neighbour lists are sorted."""
-
-    n_cells: int
-    indptr: np.ndarray
-    indices: np.ndarray
-
-    def __post_init__(self):
-        # A network caches its CSR and hands the same arrays to every caller.
-        self.indptr.flags.writeable = False
-        self.indices.flags.writeable = False
-
-    @property
-    def num_edges(self) -> int:
-        return self.indices.size // 2
-
-    def neighbours(self, i: int) -> np.ndarray:
-        return self.indices[self.indptr[i] : self.indptr[i + 1]]
-
-    def has_edge(self, i: int, j: int) -> bool:
-        row = self.neighbours(i)
-        k = np.searchsorted(row, j)
-        return k < row.size and row[k] == j
-
-    def edge_pairs(self) -> np.ndarray:
-        """All undirected edges as an (m, 2) array with i < j, sorted."""
-        src = np.repeat(np.arange(self.n_cells), np.diff(self.indptr))
-        keep = src < self.indices
-        return np.column_stack([src[keep], self.indices[keep]])
-
-
-def _csr(n_cells: int, src: np.ndarray, dst: np.ndarray) -> SocialNetwork:
-    """The CSR of the directed pairs (src, dst), each row sorted."""
-    indptr = np.zeros(n_cells + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n_cells), out=indptr[1:])
-    return SocialNetwork(n_cells=n_cells, indptr=indptr, indices=dst[np.lexsort((dst, src))])
-
-
-class _OnDemandCsr:
-    """CSR queries of a network whose CSR (``csr``) is built on first use."""
-
-    csr: SocialNetwork
-
-    @property
-    def indptr(self) -> np.ndarray:
-        return self.csr.indptr
-
-    @property
-    def indices(self) -> np.ndarray:
-        return self.csr.indices
-
-    def neighbours(self, i: int) -> np.ndarray:
-        return self.csr.neighbours(i)
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return self.csr.has_edge(i, j)
-
-    def edge_pairs(self) -> np.ndarray:
-        return self.csr.edge_pairs()
-
-
-@dataclass(frozen=True)
-class MooreLattice(_OnDemandCsr):
+class MooreLattice:
     """The Moore lattice of a width x height grid, held as its shape.
 
     Cell i sits at (x, y) = (i % width, i // width). A lattice is its own
@@ -168,19 +105,17 @@ class MooreLattice(_OnDemandCsr):
         inside = nb >= 0
         return nb[inside], np.nonzero(inside)[0]
 
-    @cached_property
-    def csr(self) -> SocialNetwork:
-        nb, at = self.gather(np.arange(self.n_cells))
-        return _csr(self.n_cells, at, nb)
+    def neighbours(self, i: int) -> np.ndarray:
+        """Cell i's neighbours, ascending."""
+        return self.gather(np.array([i]))[0]
 
 
-@dataclass(frozen=True)
-class TeleconnectedNetwork(_OnDemandCsr):
+@dataclass(frozen=True, eq=False)
+class TeleconnectedNetwork:
     """A lattice plus one run's teleconnections.
 
     ``tele`` holds the added undirected edges as (i, j) rows with i < j, in
-    ascending order. The engine reads the two parts apart; the merged CSR
-    (``csr``) is built on first use, for the scalar decision functions.
+    ascending order. Networks compare by identity: each run's is its own.
     """
 
     lattice: MooreLattice
@@ -197,12 +132,10 @@ class TeleconnectedNetwork(_OnDemandCsr):
     def num_edges(self) -> int:
         return self.lattice.num_edges + len(self.tele)
 
-    @cached_property
-    def csr(self) -> SocialNetwork:
-        """Lattice and teleconnections as one CSR, each row sorted."""
-        nb, at = self.lattice.gather(np.arange(self.n_cells))
+    def neighbours(self, i: int) -> np.ndarray:
+        """Cell i's lattice neighbours and teleconnection partners, ascending."""
         lo, hi = self.tele.T
-        return _csr(self.n_cells, np.concatenate([at, lo, hi]), np.concatenate([nb, hi, lo]))
+        return np.sort(np.concatenate([self.lattice.neighbours(i), hi[lo == i], lo[hi == i]]))
 
 
 Network = MooreLattice | TeleconnectedNetwork
@@ -264,7 +197,7 @@ def add_teleconnections(net: Network, n_tele: int, seed: int | np.random.SeedSeq
 
 
 def neighbour_intensity_fraction(
-    net: Network | SocialNetwork,
+    net: Network,
     intensities: np.ndarray,
     i: int,
     level: float,

@@ -14,6 +14,7 @@ from typing import Sequence
 import numpy as np
 from scipy.stats import qmc
 
+from .config import ExperimentConfig
 from .errors import ConfigurationError, DegenerateVarianceError
 
 _KINDS = ("continuous", "integer")
@@ -260,8 +261,6 @@ def map_sample_to_config(row: Sequence[float], space: ParameterSpace, base_confi
     Integer dimensions are rounded half-up; the giving-in upper bound is
     pinned at 1 so the threshold range never confounds the analysis.
     """
-    from .config import ExperimentConfig  # local import to avoid a cycle
-
     if len(row) != space.d:
         raise ConfigurationError(f"row has {len(row)} values for {space.d} dimensions")
     if not isinstance(base_config, ExperimentConfig):

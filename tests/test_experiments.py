@@ -56,7 +56,8 @@ class TestBuildState:
         assert np.array_equal(a.grid.c_prod, b.grid.c_prod)
         assert np.array_equal(a.grid.aft_id, b.grid.aft_id)
         assert np.array_equal(a.grid.profiles.attitude, b.grid.profiles.attitude)
-        assert np.array_equal(a.network.indices, b.network.indices)
+        assert a.network.lattice == b.network.lattice
+        assert np.array_equal(a.network.tele, b.network.tele)
 
     def test_sigma_toggle_does_not_shift_other_draws(self):
         # every profile field consumes the stream even at sigma zero

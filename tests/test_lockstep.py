@@ -471,8 +471,8 @@ class TestCampaignBatches:
 
     def test_lattice_set_up_is_linear_in_cells(self):
         # The lattice is its shape: the radius-5 101x101 lattice, its degrees
-        # and its class counts take O(cells) memory, where writing its CSR
-        # (1.16 million int64 neighbour ids) peaked at 15.3 MB.
+        # and its class counts take O(cells) memory, where the stored neighbour
+        # lists it replaced (1.16 million int64 ids) peaked at 15.3 MB.
         aft_id = np.random.default_rng(0).integers(3, size=101 * 101)
         tracemalloc.start()
         try:
@@ -486,14 +486,12 @@ class TestCampaignBatches:
 
     def test_a_batch_tick_builds_no_csr(self):
         # 64 runs hold one lattice value between them, and a tick reads it
-        # through its stencil, never through a CSR
+        # through its stencil
         cfg = ExperimentConfig(grid_width=25, grid_height=25, moore_radius=5, n_tele=150)
         states = [build_state(cfg, (cfg.seed, k, 0)) for k in range(64)]
         batch = Lockstep(states)
         report = tick(batch)
         assert report.cells.size and batch.lattices == [build_lattice(25, 25, 5)]
-        for state in states:
-            assert "csr" not in vars(state.network) and "csr" not in vars(state.network.lattice)
 
     def test_pool_gets_no_more_workers_than_batches(self, monkeypatch):
         # 64 threads on a 2-batch campaign ask a pool for 2 workers, and a

@@ -12,7 +12,6 @@ from ablum import (
     ConfigurationError,
     ExperimentConfig,
     MooreLattice,
-    SocialNetwork,
     TeleconnectedNetwork,
     UndefinedFractionError,
     add_teleconnections,
@@ -24,7 +23,44 @@ from ablum import (
 from ablum.dynamics import Lockstep
 
 
-def csr_from_pairs(n_cells: int, src: np.ndarray, dst: np.ndarray) -> SocialNetwork:
+@dataclasses.dataclass(frozen=True)
+class Csr:
+    """A network as sorted neighbour rows in CSR form: what the reference
+    builds below return, and what a network's ``neighbours`` rows are
+    compared against."""
+
+    n_cells: int
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    @property
+    def num_edges(self) -> int:
+        return self.indices.size // 2
+
+    def neighbours(self, i: int) -> np.ndarray:
+        return self.indices[self.indptr[i] : self.indptr[i + 1]]
+
+    def has_edge(self, i: int, j: int) -> bool:
+        row = self.neighbours(i)
+        k = np.searchsorted(row, j)
+        return k < row.size and row[k] == j
+
+    def edge_pairs(self) -> np.ndarray:
+        """All undirected edges as an (m, 2) array with i < j, sorted."""
+        src = np.repeat(np.arange(self.n_cells), np.diff(self.indptr))
+        keep = src < self.indices
+        return np.column_stack([src[keep], self.indices[keep]])
+
+
+def rows_of(net) -> Csr:
+    """A network's neighbour rows, read by one ``neighbours`` call per cell."""
+    rows = [net.neighbours(i) for i in range(net.n_cells)]
+    indptr = np.zeros(net.n_cells + 1, dtype=np.int64)
+    np.cumsum([row.size for row in rows], out=indptr[1:])
+    return Csr(net.n_cells, indptr, np.concatenate(rows))
+
+
+def csr_from_pairs(n_cells: int, src: np.ndarray, dst: np.ndarray) -> Csr:
     """CSR by a full sort of (src, dst), which hold both directions of every
     edge: the reference for the lattice and teleconnection builds."""
     order = np.lexsort((dst, src))
@@ -32,10 +68,10 @@ def csr_from_pairs(n_cells: int, src: np.ndarray, dst: np.ndarray) -> SocialNetw
     counts = np.bincount(src, minlength=n_cells)
     indptr = np.zeros(n_cells + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    return SocialNetwork(n_cells=n_cells, indptr=indptr, indices=indices)
+    return Csr(n_cells=n_cells, indptr=indptr, indices=indices)
 
 
-def lattice_csr(width: int, height: int, radius: int) -> SocialNetwork:
+def lattice_csr(width: int, height: int, radius: int) -> Csr:
     """The stored CSR the stencil replaced: the stencil offsets, dy outer and
     dx inner, self excluded, added to every cell, keeping the entries inside
     the grid; since |dx| < width, every row comes out sorted."""
@@ -51,7 +87,7 @@ def lattice_csr(width: int, height: int, radius: int) -> SocialNetwork:
     indices = (np.arange(n)[:, None] + dy * width + dx)[inside]
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(inside.sum(axis=1), out=indptr[1:])
-    return SocialNetwork(n_cells=n, indptr=indptr, indices=indices)
+    return Csr(n_cells=n, indptr=indptr, indices=indices)
 
 
 def lattice_by_offsets(width, height, radius):
@@ -71,7 +107,7 @@ def lattice_by_offsets(width, height, radius):
     return csr_from_pairs(width * height, np.concatenate(src_parts), np.concatenate(dst_parts))
 
 
-def teleconnections_by_rejection(net, n_tele, seed):
+def teleconnections_by_rejection(net: Csr, n_tele: int, seed) -> Csr:
     """Scalar rejection sampler: one (i, j) draw at a time, redrawing
     self-pairs, existing edges and pairs already added."""
     n = net.n_cells
@@ -97,7 +133,7 @@ def teleconnections_by_rejection(net, n_tele, seed):
     return csr_from_pairs(n, src.astype(np.int64), dst.astype(np.int64))
 
 
-def teleconnections_by_insert(net: SocialNetwork, n_tele: int, seed) -> SocialNetwork:
+def teleconnections_by_insert(net: Csr, n_tele: int, seed) -> Csr:
     """The merged build the overlay replaced: every directed key of the whole
     network, block draws against them, then both directions of the new edges
     inserted into the sorted rows with np.insert."""
@@ -123,23 +159,23 @@ def teleconnections_by_insert(net: SocialNetwork, n_tele: int, seed) -> SocialNe
     indices = np.insert(net.indices, np.searchsorted(old_keys, added), dst)
     indptr = net.indptr.astype(np.int64)
     indptr[1:] += np.cumsum(np.bincount(src, minlength=n))
-    return SocialNetwork(n_cells=n, indptr=indptr, indices=indices)
+    return Csr(n_cells=n, indptr=indptr, indices=indices)
 
 
-def class_counts_of(net: SocialNetwork, aft_id: np.ndarray) -> np.ndarray:
+def class_counts_of(net: Csr, aft_id: np.ndarray) -> np.ndarray:
     """Each cell's neighbours per class, counted afresh from a merged CSR."""
     rows = np.repeat(np.arange(net.n_cells), np.diff(net.indptr))
     return np.bincount(rows * 3 + aft_id[net.indices], minlength=3 * net.n_cells).reshape(-1, 3)
 
 
-def assert_same_csr(got: SocialNetwork, want: SocialNetwork):
+def assert_same_csr(got: Csr, want: Csr):
     assert np.array_equal(got.indptr, want.indptr)
     assert np.array_equal(got.indices, want.indices)
     assert (got.indptr.dtype, got.indices.dtype) == (want.indptr.dtype, want.indices.dtype)
 
 
-def degrees(net: SocialNetwork) -> np.ndarray:
-    return np.diff(net.indptr)
+def degrees(net) -> np.ndarray:
+    return np.diff(rows_of(net).indptr)
 
 
 class TestBuildLattice:
@@ -182,7 +218,7 @@ class TestBuildLattice:
         for i in range(net.n_cells):
             for j in net.neighbours(i):
                 assert j != i
-                assert net.has_edge(j, i)
+                assert i in net.neighbours(j)
 
     @given(st.integers(3, 8), st.integers(1, 3))
     @settings(max_examples=20, deadline=None)
@@ -195,7 +231,7 @@ class TestBuildLattice:
 
     def test_edge_pairs_sorted_undirected(self):
         net = build_lattice(3, 3, moore_radius=1)
-        pairs = [tuple(p) for p in net.edge_pairs().tolist()]
+        pairs = [tuple(p) for p in rows_of(net).edge_pairs().tolist()]
         assert all(i < j for i, j in pairs)
         assert pairs == sorted(pairs)
         assert len(pairs) == net.num_edges
@@ -222,8 +258,9 @@ class TestLatticeOracle:
                 for r in range(1, min(w, h)):
                     net = build_lattice(w, h, r)
                     indptr, indices = chebyshev_oracle(w, h, r)
-                    assert np.array_equal(net.indptr, indptr), (w, h, r)
-                    assert np.array_equal(net.indices, indices), (w, h, r)
+                    rows = rows_of(net)
+                    assert np.array_equal(rows.indptr, indptr), (w, h, r)
+                    assert np.array_equal(rows.indices, indices), (w, h, r)
 
     def test_runs_of_one_shape_share_a_lattice_value(self):
         cfg = ExperimentConfig(grid_width=9, grid_height=7, moore_radius=2)
@@ -233,24 +270,24 @@ class TestLatticeOracle:
         a, b, c, d = (s.network for s in states)
         assert a == b == c.lattice == build_lattice(9, 7, 2) == MooreLattice(9, 7, 2)
         assert hash(a) == hash(c.lattice) and d == MooreLattice(9, 7, 1) != a
-        assert_same_csr(a, lattice_csr(9, 7, 2))
+        assert_same_csr(rows_of(a), lattice_csr(9, 7, 2))
         # a batch groups its runs by lattice value, not by object
         batch = Lockstep(states)
         assert batch.lattices == [a, d] and batch.lattice_of.tolist() == [0, 0, 0, 1]
         alone = build_state(tele, (1, 2, 0)).network
-        assert_same_csr(c, alone)
+        assert c.lattice == alone.lattice and np.array_equal(c.tele, alone.tele)
 
     @pytest.mark.parametrize("radius", [1, 2, 3, 4, 5])
     def test_full_grid_equals_sorted_pairs(self, radius):
-        assert_same_csr(build_lattice(101, 101, radius), lattice_by_offsets(101, 101, radius))
+        want = lattice_by_offsets(101, 101, radius)
+        assert_same_csr(rows_of(build_lattice(101, 101, radius)), want)
 
     def test_csr_arrays_are_read_only(self):
         net = build_lattice(5, 5, 1)
         aug = add_teleconnections(net, 4, 0)
-        for arr in (net.indptr, net.indices, aug.indptr, aug.indices):
-            assert not arr.flags.writeable
+        assert not aug.tele.flags.writeable and not net.tele.flags.writeable
         with pytest.raises(ValueError):
-            net.indices[0] = 0
+            aug.tele[0, 0] = 0
 
 
 def assert_stencil_equals_csr(lattice: MooreLattice, aft_id: np.ndarray, rng) -> None:
@@ -305,19 +342,20 @@ class TestTeleconnections:
     )
     @settings(max_examples=40, deadline=None)
     def test_merge_equals_full_resort(self, w, h, r, seed, n_tele):
-        # inserting the new entries into the sorted rows gives exactly the
-        # CSR a full re-sort of lattice plus new edges gives
+        # the augmented network's neighbour rows are exactly the CSR a full
+        # re-sort of lattice plus new edges gives
         r = min(r, min(w, h) - 1)
         net = build_lattice(w, h, r)
         n = w * h
         n_tele = min(n_tele, n * (n - 1) // 2 - net.num_edges)
-        aug = add_teleconnections(net, n_tele, seed)
-        new = sorted(set(map(tuple, aug.edge_pairs())) - set(map(tuple, net.edge_pairs())))
+        aug = rows_of(add_teleconnections(net, n_tele, seed))
+        lattice = lattice_csr(w, h, r)
+        new = sorted(set(map(tuple, aug.edge_pairs())) - set(map(tuple, lattice.edge_pairs())))
         assert len(new) == n_tele
         new_src = [i for i, _ in new] + [j for _, j in new]
         new_dst = [j for _, j in new] + [i for i, _ in new]
-        src = np.concatenate([np.repeat(np.arange(n), np.diff(net.indptr)), new_src]).astype(np.int64)
-        dst = np.concatenate([net.indices, new_dst]).astype(np.int64)
+        src = np.concatenate([np.repeat(np.arange(n), np.diff(lattice.indptr)), new_src]).astype(np.int64)
+        dst = np.concatenate([lattice.indices, new_dst]).astype(np.int64)
         assert_same_csr(aug, csr_from_pairs(n, src, dst))
 
     @given(
@@ -337,10 +375,11 @@ class TestTeleconnections:
         free = n * (n - 1) // 2 - net.num_edges
         n_tele = round(fill * free)
         once = add_teleconnections(net, n_tele, seed)
-        assert_same_csr(once, teleconnections_by_rejection(net, n_tele, seed))
+        want = teleconnections_by_rejection(lattice_by_offsets(w, h, r), n_tele, seed)
+        assert_same_csr(rows_of(once), want)
         n_more = round(refill * (free - n_tele))
         twice = add_teleconnections(once, n_more, seed + 1)
-        assert_same_csr(twice, teleconnections_by_rejection(once, n_more, seed + 1))
+        assert_same_csr(rows_of(twice), teleconnections_by_rejection(want, n_more, seed + 1))
 
     @pytest.mark.parametrize("n", [625, 10201])
     def test_block_draws_continue_scalar_stream(self, n):
@@ -356,9 +395,9 @@ class TestTeleconnections:
 
     def test_zero_is_identity(self):
         net = build_lattice(6, 6, 1)
-        aug = add_teleconnections(net, 0, 5)
-        assert np.array_equal(net.indptr, aug.indptr)
-        assert np.array_equal(net.indices, aug.indices)
+        assert add_teleconnections(net, 0, 5) == net
+        once = add_teleconnections(net, 4, 5)
+        assert np.array_equal(add_teleconnections(once, 0, 6).tele, once.tele)
 
     def test_exact_edge_count(self):
         net = build_lattice(10, 10, 1)
@@ -382,15 +421,17 @@ class TestTeleconnections:
         net = build_lattice(9, 9, 1)
         a = add_teleconnections(net, 30, 11)
         b = add_teleconnections(net, 30, 11)
-        assert np.array_equal(a.indices, b.indices)
+        assert np.array_equal(a.tele, b.tele)
 
     def test_new_edges_not_in_lattice(self):
         net = build_lattice(8, 8, 1)
         aug = add_teleconnections(net, 25, 7)
-        new = set(map(tuple, aug.edge_pairs())) - set(map(tuple, net.edge_pairs()))
-        assert len(new) == 25
+        lattice = lattice_csr(8, 8, 1)
+        new = set(map(tuple, rows_of(aug).edge_pairs().tolist()))
+        new -= set(map(tuple, lattice.edge_pairs().tolist()))
+        assert len(new) == 25 and new == set(map(tuple, aug.tele.tolist()))
         for i, j in new:
-            assert not net.has_edge(i, j) and i != j
+            assert not lattice.has_edge(i, j) and i != j
 
     def test_too_many_rejected(self):
         net = build_lattice(3, 3, 1)
@@ -408,7 +449,7 @@ class TestTeleconnections:
             row = net.neighbours(i)
             assert len(set(row)) == len(row)  # no duplicate edges
             for j in row:
-                assert j != i and net.has_edge(j, i)
+                assert j != i and i in net.neighbours(j)
 
 
 class TestNeighbourIntensityFraction:
@@ -438,6 +479,7 @@ class TestNeighbourIntensityFraction:
         assert got == pytest.approx(0.625, abs=1e-9)
 
     def test_isolated_cell_errors(self):
+        # no lattice has an isolated cell, so the network is a test-side CSR
         empty = np.empty(0, dtype=np.int64)
         net = csr_from_pairs(2, empty, empty)
         with pytest.raises(UndefinedFractionError):
@@ -465,9 +507,10 @@ class TestOverlayEqualsMergedBuild:
     @example([(3, 3, 1, 1.0, 0.0, 0)])
     @settings(max_examples=40, deadline=None)
     def test_degrees_counts_and_merged_view(self, runs):
-        # Two rounds of teleconnections over lattices, in one batch:
-        # the merged view, the batch degrees and the neighbour counts after
-        # 20 ticks of commits all equal the np.insert-merged networks'.
+        # Two rounds of teleconnections over lattices, in one batch: every
+        # cell's neighbours and neighbour fractions, the batch degrees and the
+        # neighbour counts after 20 ticks of commits all equal the
+        # np.insert-merged networks'.
         states, merged = [], []
         for point, (w, h, r, fill, refill, seed) in enumerate(runs):
             r = min(r, min(w, h) - 1)
@@ -480,9 +523,17 @@ class TestOverlayEqualsMergedBuild:
             assert twice.lattice is lattice
             assert twice.num_edges == lattice.num_edges + n_tele + n_more
             want = teleconnections_by_insert(
-                teleconnections_by_insert(lattice, n_tele, seed), n_more, seed + 1
+                teleconnections_by_insert(lattice_csr(w, h, r), n_tele, seed), n_more, seed + 1
             )
-            assert_same_csr(twice, want)
+            # levels 0, 0.5 and 1 against 0.5: ties count, as the modes say
+            intensities = np.random.default_rng(seed).integers(3, size=w * h) / 2
+            for i in range(w * h):
+                row = want.neighbours(i)
+                assert np.array_equal(twice.neighbours(i), row)
+                above, below = intensities[row] >= 0.5, intensities[row] <= 0.5
+                for mode, hit in (("at_or_above", above), ("at_or_below", below)):
+                    got = neighbour_intensity_fraction(twice, intensities, i, 0.5, mode)
+                    assert got == float(np.mean(hit))
             cfg = ExperimentConfig(grid_width=w, grid_height=h, moore_radius=r, seed=seed)
             states.append(dataclasses.replace(build_state(cfg, (seed, point, 0)), network=twice))
             merged.append(want)
@@ -493,6 +544,12 @@ class TestOverlayEqualsMergedBuild:
             tick(batch)
         want_counts = [class_counts_of(m, s.grid.aft_id) for m, s in zip(merged, states)]
         assert np.array_equal(batch.neighbour_counts, np.concatenate(want_counts))
+
+    def test_networks_compare_by_identity(self):
+        # a run's network is its own: == and hash() never compare pair arrays
+        a, b = (add_teleconnections(build_lattice(9, 9, 1), 3, 0) for _ in range(2))
+        assert a == a and a != b and a.lattice == b.lattice
+        assert hash(a) == hash(a) and {a, b, a} == {a, b} and len({a, b}) == 2
 
     def test_overlay_shares_the_lattice(self):
         lattice = build_lattice(9, 9, 2)
@@ -507,6 +564,7 @@ class TestOverlayEqualsMergedBuild:
     @given(st.integers(2, 9), st.integers(2, 9), st.integers(1, 5), st.integers(0, 2**31 - 1))
     @settings(max_examples=30, deadline=None)
     def test_vectorised_has_edges(self, w, h, r, seed):
-        net = build_lattice(w, h, min(r, min(w, h) - 1))
+        r = min(r, min(w, h) - 1)
+        net, oracle = build_lattice(w, h, r), lattice_csr(w, h, r)
         i, j = np.random.default_rng(seed).integers(w * h, size=(2, 200))
-        assert net.has_edges(i, j).tolist() == [bool(net.has_edge(a, b)) for a, b in zip(i, j)]
+        assert net.has_edges(i, j).tolist() == [bool(oracle.has_edge(a, b)) for a, b in zip(i, j)]
