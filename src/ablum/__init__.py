@@ -25,6 +25,7 @@ from .config import (
     apply_values,
     load_config,
     loads_config,
+    round_half_up,
     serialize_config,
 )
 from .dynamics import (
@@ -105,7 +106,6 @@ from .sensitivity import (
     SobolIndices,
     default_parameter_space,
     map_sample_to_config,
-    round_half_up,
     saltelli_sample,
     sobol_indices,
 )

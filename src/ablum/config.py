@@ -58,10 +58,7 @@ class SweepParam:
 
     def __post_init__(self):
         if self.name not in NUMERIC_KEYS and self.name != CM_ALIAS:
-            raise ConfigurationError(
-                f"cannot sweep unknown parameter {self.name!r}; "
-                f"sweepable: {', '.join(NUMERIC_KEYS + (CM_ALIAS,))}"
-            )
+            raise _not_sweepable(self.name)
         if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
             raise ConfigurationError(f"sweep {self.name}: bounds must be finite")
         _number(self, "steps")
@@ -211,24 +208,33 @@ _NUMBERS = tuple(
     for f in _FIELDS
     if f.type in (int, float)
 )
-# Config fields that sweeps and sensitivity samples may override.
+# Config fields that sweep points and Sobol design rows may override.
 NUMERIC_KEYS = tuple(f.name for f in _FIELDS if f.metadata["sweep"])
 INT_KEYS = tuple(f.name for f in _FIELDS if f.metadata["sweep"] and f.type is int)
 
 
+def _not_sweepable(name: str) -> ConfigurationError:
+    return ConfigurationError(f"cannot vary {name!r}; sweepable: {', '.join(NUMERIC_KEYS + (CM_ALIAS,))}")
+
+
+def round_half_up(value: float) -> int:
+    return int(math.floor(value + 0.5))
+
+
 def apply_values(config: ExperimentConfig, values: dict[str, float]) -> ExperimentConfig:
-    """Override numeric config keys, resolving the cm alias and integer keys."""
+    """Override sweepable config keys, resolving the cm alias and rounding
+    integer keys half-up."""
     updates: dict[str, object] = {}
     for name, value in values.items():
         if name == CM_ALIAS:
             updates["cm_int"] = float(value)
             updates["cm_ext"] = float(value)
         elif name in INT_KEYS:
-            updates[name] = int(value + 0.5) if math.isfinite(value) else value
+            updates[name] = round_half_up(value) if math.isfinite(value) else value
         elif name in NUMERIC_KEYS:
             updates[name] = float(value)
         else:
-            raise ConfigurationError(f"cannot override unknown parameter {name!r}")
+            raise _not_sweepable(name)
     return replace(config, **updates)
 
 

@@ -153,7 +153,7 @@ def _join(parts: list[np.ndarray]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _join_param(values: list, n_cells: np.ndarray) -> np.ndarray:
+def _join_param(values: list, n_cells: int) -> np.ndarray:
     """One parameter over the batch: a 0-d array when every run has the same
     scalar, one value per run when each run has a scalar, else one value per
     batch cell."""
@@ -161,7 +161,7 @@ def _join_param(values: list, n_cells: np.ndarray) -> np.ndarray:
         if len({float(v) for v in values}) == 1:
             return np.asarray(values[0], dtype=np.float64)
         return np.array(values, dtype=np.float64)
-    return _join([np.broadcast_to(v, n) for v, n in zip(values, n_cells)])
+    return _join([np.broadcast_to(v, n_cells) for v in values])
 
 
 def _gather(indices: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -222,15 +222,16 @@ def _choice_draws(rngs: list[np.random.Generator], n: int, k: int, ticks: int) -
 
 
 class Lockstep:
-    """B independent runs advanced together, one `tick` for all of them.
+    """B independent runs of one grid shape, one `tick` for all of them.
 
-    Run b's cell i is batch cell ``offsets[b] + i``. Land use, capitals and
-    decision parameters (``params``) are joined along that index, so a tick
-    decides for every run in one set of array operations. Each run's
-    ``grid.aft_id`` becomes a view of the joined land use, so a commit
-    updates every run in place. Commits also keep ``class_counts`` (each
-    run's cells per class) and ``neighbour_counts`` (each cell's neighbours
-    per class) current.
+    Every run has ``n_cells`` cells and draws ``draws`` of them a tick; run
+    b's cell i is batch cell ``offsets[b] + i``, or ``b * n_cells + i``.
+    Land use, capitals and decision parameters (``params``) are joined along
+    that index, so a tick decides for every run in one set of array
+    operations. Each run's ``grid.aft_id`` becomes a view of the joined land
+    use, so a commit updates every run in place. Commits also keep
+    ``class_counts`` (each run's cells per class) and ``neighbour_counts``
+    (each cell's neighbours per class) current.
 
     Networks are never copied per run: the batch keeps each distinct lattice
     value once (``lattices``; run b uses ``lattices[lattice_of[b]]``), reads
@@ -258,9 +259,11 @@ class Lockstep:
         self.states = list(states)
         grids = [s.grid for s in self.states]
         nets = [s.network for s in self.states]
-        self.n_cells = np.array([g.n_cells for g in grids])
-        self.offsets = np.concatenate([[0], np.cumsum(self.n_cells)])
-        self.draws = np.array([selection_count(n) for n in self.n_cells])
+        if len({(g.width, g.height) for g in grids}) > 1:
+            raise ConfigurationError("runs in a batch must share one grid shape")
+        self.n_cells = grids[0].n_cells
+        self.offsets = self.n_cells * np.arange(len(grids) + 1)
+        self.draws = selection_count(self.n_cells)
         self.aft_id = _join([g.aft_id for g in grids])
         if len(grids) > 1:
             for g, lo, hi in zip(grids, self.offsets, self.offsets[1:]):
@@ -303,42 +306,36 @@ class Lockstep:
 
     def select(self) -> np.ndarray:
         """The batch cells every live run reconsiders this tick, ascending."""
-        live = self.live
         if self.next_pick == self.picks.shape[1]:
-            self._refill(live)
-        picks = self.picks[live, self.next_pick]
+            self._refill(self.live)
         self.next_pick += 1
-        return picks[np.arange(picks.shape[1]) < self.draws[live, None]]
+        return self.picks[self.live, self.next_pick - 1].reshape(-1)
 
     def _refill(self, live: np.ndarray) -> None:
         ticks = 1
+        rngs = [self.states[b].rng for b in live.tolist()]
         if self.last_tick is not None:
             ticks = min(DRAW_AHEAD, self.last_tick - self.states[live[0]].tick)
-        self.picks = np.empty((len(self.states), ticks, self.draws.max()), dtype=np.int64)
+            for b, rng in zip(live.tolist(), rngs):
+                self.refills[b] = (rng.bit_generator.state, self.states[b].tick, ticks)
+        picks = np.sort(_choice_draws(rngs, self.n_cells, self.draws, ticks), axis=2)
+        self.picks = np.empty((len(self.states), ticks, self.draws), dtype=np.int64)
+        self.picks[live] = picks + self.offsets[live, None, None]
         self.next_pick = 0
-        for n in np.unique(self.n_cells[live]).tolist():
-            runs = live[self.n_cells[live] == n]
-            rngs = [self.states[b].rng for b in runs.tolist()]
-            if self.last_tick is not None:
-                for b, rng in zip(runs.tolist(), rngs):
-                    self.refills[b] = (rng.bit_generator.state, self.states[b].tick, ticks)
-            k = selection_count(n)
-            picks = np.sort(_choice_draws(rngs, n, k, ticks), axis=2)
-            self.picks[runs, :, :k] = picks + self.offsets[runs, None, None]
 
     def rewind(self) -> None:
         """Leave each run's generator as one ``rng.choice`` call per tick it
         took would: restore the state before its latest refill and redraw
         only the ticks it took since."""
-        redraw: dict[tuple[int, int], list[np.random.Generator]] = {}
+        redraw: dict[int, list[np.random.Generator]] = {}
         for b, (saved, first_tick, ticks) in self.refills.items():
             taken = self.states[b].tick - first_tick
             if taken < ticks:
                 rng = self.states[b].rng
                 rng.bit_generator.state = saved
-                redraw.setdefault((int(self.n_cells[b]), taken), []).append(rng)
-        for (n, taken), rngs in redraw.items():
-            _choice_draws(rngs, n, selection_count(n), taken)
+                redraw.setdefault(taken, []).append(rng)
+        for taken, rngs in redraw.items():
+            _choice_draws(rngs, self.n_cells, self.draws, taken)
 
     def refresh_supply(self, runs: np.ndarray) -> None:
         """Price the supply of the given runs, into ``supply`` and into each
@@ -356,8 +353,7 @@ class Lockstep:
         """Neighbours of the given batch cells of the given runs, concatenated,
         and for each neighbour the position in ``cells`` of the cell it
         neighbours."""
-        offset = self.offsets[runs]
-        rows = cells - offset
+        rows = cells - self.offsets[runs]
         if len(self.lattices) == 1:
             nb, at = self.lattices[0].gather(rows)
         else:
@@ -367,7 +363,7 @@ class Lockstep:
                 nb, at = lattice.gather(rows[mine])
                 parts.append((nb, mine[at]))
             nb, at = (np.concatenate(p) for p in zip(*parts))
-        nb += offset[at]
+        nb += (cells - rows)[at]  # back to batch cells
         if self.tele_src.size:
             bounds = np.searchsorted(self.tele_src, cells), np.searchsorted(self.tele_src, cells, "right")
             tele_nb, tele_at = _gather(self.tele_dst, *bounds)
@@ -377,7 +373,7 @@ class Lockstep:
     def commit(self, cells: np.ndarray, old: np.ndarray, new: np.ndarray) -> None:
         """Switch cells from their old to their new class, all at once."""
         self.aft_id[cells] = new
-        runs = np.searchsorted(self.offsets, cells, side="right") - 1
+        runs = cells // self.n_cells
         nb, at = self.neighbours(cells, runs)
         nb *= _N_TYPES
         # int32 steps, matching the counts, keep ufunc.at on its fast path.
@@ -402,12 +398,11 @@ def tick(state: SimulationState | Lockstep) -> TickReport:
     sel = batch.select()
     for b in live.tolist():
         batch.states[b].tick += 1
-    draws = batch.draws[live]
     if sel.size == 0:
         empty = np.empty(0, dtype=np.int64)
         return TickReport(sel, empty, empty, empty)
 
-    benefit = np.repeat(unit_benefit(batch.demand[live], batch.supply[live]), draws, axis=0)
+    benefit = np.repeat(unit_benefit(batch.demand[live], batch.supply[live]), batch.draws, axis=0)
     inc = batch.aft_id[sel]
     utilities = (
         benefit[:, 0] * S_PROD[:, None] * batch.c_prod[sel]
@@ -425,7 +420,7 @@ def tick(state: SimulationState | Lockstep) -> TickReport:
     # Per-run values have one entry per run, per-cell values one per batch
     # cell; a batch never has more runs than cells, and if as many, the two
     # indexings agree.
-    run_of = np.repeat(live, draws)
+    run_of = np.repeat(live, batch.draws)
     params = {
         name: v[run_of if v.size == len(batch.states) else sel] if v.ndim else v
         for name, v in batch.params.items()
@@ -497,11 +492,11 @@ def run_lockstep(
 
     ``rule`` is the StopRule each run stops by, or the AttitudeSchedule every
     run follows for the schedule's full span, re-applying attitudes every
-    tick. The runs must start on the same tick. A run that has ended stops
-    being drawn. Every run's trajectory and final state, its generator's
-    included, are exactly those it gets when run on its own: runs draw their
-    selections up to DRAW_AHEAD ticks ahead, and the batch rewinds their
-    generators before it returns.
+    tick. The runs must share a grid shape and a starting tick. A run that
+    has ended stops being drawn. Every run's trajectory and final state, its
+    generator's included, are exactly those it gets when run on its own: runs
+    draw their selections up to DRAW_AHEAD ticks ahead, and the batch
+    rewinds their generators before it returns.
 
     Each step records one block of rows, one per live run; the trajectories
     are cut from the blocks at the end. Run b keeps the shares of its latest
@@ -530,7 +525,7 @@ def run_lockstep(
     blocks: list[tuple[np.ndarray, np.ndarray]] = []
 
     def record(runs: np.ndarray, step: int) -> None:
-        shares = batch.class_counts[runs] / batch.n_cells[runs, None]
+        shares = batch.class_counts[runs] / batch.n_cells
         recent[runs, :, step % (window + 1)] = shares
         if scheduled:
             attitudes[runs, 0] = [np.mean(states[b].grid.profiles.attitude) for b in runs.tolist()]

@@ -166,20 +166,14 @@ def _stop_rule(config: ExperimentConfig) -> StopRule | AttitudeSchedule:
 
 
 def _batches(jobs: list, threads: int = 1) -> list[list]:
-    """Consecutive jobs under one stop rule, grouped up to CELL_BUDGET cells
-    and up to an even share of all cells over ``threads`` workers, so that
-    each worker gets a batch; a larger run goes alone."""
-    sizes = [config.grid_width * config.grid_height for config, _ in jobs]
-    cap = min(CELL_BUDGET, -(-sum(sizes) // max(threads, 1)))
-    batches, cells, rule = [], cap, None
-    for job, n in zip(jobs, sizes):
-        job_rule = _stop_rule(job[0])
-        if cells + n > cap or job_rule != rule:
-            batches.append([])
-            cells, rule = 0, job_rule
-        batches[-1].append(job)
-        cells += n
-    return batches
+    """A campaign's jobs, which vary only sweepable keys and so share one
+    grid and one stop rule, cut into consecutive batches of up to CELL_BUDGET
+    cells and up to an even share of all cells over ``threads`` workers, so
+    that each worker gets a batch; a larger run goes alone."""
+    n = max((config.grid_width * config.grid_height for config, _ in jobs), default=1)
+    cap = min(CELL_BUDGET, -(-n * len(jobs) // max(threads, 1)))
+    size = max(cap // n, 1)
+    return [jobs[i : i + size] for i in range(0, len(jobs), size)]
 
 
 def _run_batch(args) -> list:
@@ -276,6 +270,8 @@ def evaluate_design(
     Returns an (n_rows, 5) array with columns OUTPUT_METRICS. Rows derived
     from the same base sample share their replicate seeds.
     """
+    if replicates < 1:
+        raise ConfigurationError(f"replicates must be >= 1, got {replicates}")
     jobs = []
     for r in range(design.n_rows):
         config = map_sample_to_config(list(design.matrix[r]), design.space, base_config)

@@ -7,14 +7,13 @@ Sobol indices with bootstrap confidence half-widths.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.stats import qmc
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, apply_values, round_half_up
 from .errors import ConfigurationError, DegenerateVarianceError
 
 _KINDS = ("continuous", "integer")
@@ -251,15 +250,12 @@ def sobol_indices(
     )
 
 
-def round_half_up(value: float) -> int:
-    return int(math.floor(value + 0.5))
-
-
 def map_sample_to_config(row: Sequence[float], space: ParameterSpace, base_config):
     """Materialise one design row as a runnable experiment config.
 
-    Integer dimensions are rounded half-up; the giving-in upper bound is
-    pinned at 1 so the threshold range never confounds the analysis.
+    Integer dimensions are rounded half-up, and the row goes through
+    `apply_values`, so a space names sweepable keys only and every other key,
+    the stop rule and the grid included, is the base config's.
     """
     if len(row) != space.d:
         raise ConfigurationError(f"row has {len(row)} values for {space.d} dimensions")
@@ -271,8 +267,4 @@ def map_sample_to_config(row: Sequence[float], space: ParameterSpace, base_confi
         if not dim.lower <= v <= dim.upper:
             raise ConfigurationError(f"value {v} for {dim.name} is outside its bounds")
         updates[dim.name] = round_half_up(v) if dim.kind == "integer" else v
-    updates["git_upper_L"] = 1.0
-    try:
-        return replace(base_config, **updates)
-    except TypeError as exc:
-        raise ConfigurationError(f"unknown parameter name in space: {exc}") from exc
+    return apply_values(base_config, updates)

@@ -18,8 +18,10 @@ from ablum import (
     default_peaks,
     load_config,
     loads_config,
+    round_half_up,
     serialize_config,
 )
+from ablum.config import NUMERIC_KEYS
 
 PRESET_DIR = Path(__file__).resolve().parents[1] / "presets"
 
@@ -356,7 +358,7 @@ class TestSweepParsing:
         with pytest.raises(ConfigurationError) as err:
             SweepParam("phase_of_moon", 0.0, 1.0, 3)
         assert str(err.value) == (
-            "cannot sweep unknown parameter 'phase_of_moon'; sweepable: attitude_mean, "
+            "cannot vary 'phase_of_moon'; sweepable: attitude_mean, "
             "norm_weight_w, inertia_lambda, cm_int, cm_ext, git_upper_L, logistic_k, "
             "demand_mat, demand_nm, moore_radius, n_tele, cm"
         )
@@ -437,6 +439,12 @@ class TestApplyValues:
 
     def test_integer_keys_rounded_half_up(self):
         assert apply_values(ExperimentConfig(), {"n_tele": 2.7}).n_tele == 3
+        assert apply_values(ExperimentConfig(), {"n_tele": -0.5}).n_tele == 0
+        # -0.7 rounds to -1, as a design row's integer dimension does, so it
+        # fails the range check instead of truncating to 0
+        assert round_half_up(-0.7) == -1
+        with pytest.raises(ConfigurationError, match="'n_tele' = -1 is out of range"):
+            apply_values(ExperimentConfig(), {"n_tele": -0.7})
 
     def test_floats_applied(self):
         cfg = apply_values(ExperimentConfig(), {"attitude_mean": -0.25, "git_upper_L": 0.4})
@@ -444,8 +452,17 @@ class TestApplyValues:
         assert cfg.git_upper_L == 0.4
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ConfigurationError):
-            apply_values(ExperimentConfig(), {"window": 10})
+        # a known key that is not sweepable, and an unknown name, get the
+        # message SweepParam gives, listing the sweepable keys and cm
+        for name in ("window", "phase_of_moon"):
+            with pytest.raises(ConfigurationError) as applied:
+                apply_values(ExperimentConfig(), {name: 5})
+            with pytest.raises(ConfigurationError) as swept:
+                SweepParam(name, 0.0, 1.0, 3)
+            assert str(applied.value) == str(swept.value)
+            assert str(applied.value) == (
+                f"cannot vary {name!r}; sweepable: {', '.join(NUMERIC_KEYS)}, cm"
+            )
 
 
 class TestRoundTrip:

@@ -271,6 +271,15 @@ class TestDesignEvaluation:
         ):
             run_sobol(small_config(), n_base=4, space=self._space())
 
+    def test_replicates_below_one_rejected(self):
+        cfg = small_config(epsilon=1.0)
+        design = saltelli_sample(self._space(), 2, seed=cfg.seed)
+        for replicates in (0, -1):
+            with pytest.raises(ConfigurationError, match=f"^replicates must be >= 1, got {replicates}$"):
+                evaluate_design(design, cfg, replicates=replicates)
+            with pytest.raises(ConfigurationError, match="^replicates must be >= 1"):
+                run_sobol(cfg, n_base=2, replicates=replicates, space=self._space())
+
     def test_replicate_averaging(self):
         cfg = small_config(epsilon=1.0)
         design = saltelli_sample(self._space(), 2, seed=cfg.seed)

@@ -1,11 +1,11 @@
 """Lockstep batches: every run of a batch is exactly the run alone.
 
-A batch runs under one stop rule. One batch joins runs of different grids,
-radii, teleconnections and profile spreads and an economic-baseline run under
-one StopRule; another joins scheduled runs on different grids under one
-AttitudeSchedule. Each run must reproduce, bit for bit, what run_until_stable
-or run_schedule gives it on its own. Campaigns cut their batches where the
-stop rule changes.
+A batch holds one campaign's runs: one grid shape under one stop rule. One
+batch joins runs of different radii, teleconnections, profile spreads and
+logistic steepness and an economic-baseline run under one StopRule; another
+joins scheduled runs of different radii under one AttitudeSchedule. Each run
+must reproduce, bit for bit, what run_until_stable or run_schedule gives it
+on its own.
 """
 
 import math
@@ -63,7 +63,7 @@ BASE = dict(
 
 
 def mixed_configs():
-    """Runs that differ in everything but their StopRule."""
+    """Runs that differ in everything but their grid shape and StopRule."""
     return [
         ExperimentConfig(**BASE, moore_radius=1),
         ExperimentConfig(
@@ -71,7 +71,7 @@ def mixed_configs():
             cm_int_sigma=0.1, cm_ext_sigma=0.1, inertia_lambda=0.2, inertia_sigma=0.1,
         ),
         ExperimentConfig(**BASE, moore_radius=3, n_tele=5, economic_baseline=True),
-        ExperimentConfig(**{**BASE, "grid_width": 10, "grid_height": 13}, moore_radius=4, n_tele=8),
+        ExperimentConfig(**BASE, moore_radius=4, n_tele=8),
         ExperimentConfig(**BASE, moore_radius=5, n_tele=30, git_upper_sigma=0.1, logistic_k=5.0),
         ExperimentConfig(**BASE, moore_radius=2, cm_int=0.1),
         ExperimentConfig(**BASE, moore_radius=1, n_tele=8),
@@ -79,12 +79,12 @@ def mixed_configs():
 
 
 def scheduled_configs():
-    """Runs on different grids that follow one AttitudeSchedule."""
+    """Runs of different radii and spreads that follow one AttitudeSchedule."""
     ramp = ((0, -0.6), (60, 0.6))
     return [
-        ExperimentConfig(**{**BASE, "grid_width": 10, "grid_height": 13}, moore_radius=4, schedule=ramp),
+        ExperimentConfig(**BASE, moore_radius=4, schedule=ramp),
         ExperimentConfig(**BASE, moore_radius=1, n_tele=8, attitude_sigma=0.3, schedule=ramp),
-        ExperimentConfig(**{**BASE, "grid_width": 9, "grid_height": 9}, moore_radius=2, schedule=ramp),
+        ExperimentConfig(**BASE, moore_radius=2, norm_weight_sigma=0.2, schedule=ramp),
     ]
 
 
@@ -113,7 +113,7 @@ def lockstep_by_lists(states, rule):
 
     def record(runs):
         batch.refresh_supply(runs)
-        fractions = (batch.class_counts[runs, :3] / batch.n_cells[runs, None]).tolist()
+        fractions = (batch.class_counts[runs, :3] / batch.n_cells).tolist()
         for b, share, supply in zip(runs.tolist(), fractions, batch.supply[runs].tolist()):
             state = states[b]
             extra = ()
@@ -246,13 +246,15 @@ class TestMixedBatch:
         ],
     )
     def test_settling_edges_equal_the_list_bookkeeping(self, rule, start):
+        stop = dict(max_ticks=rule.max_ticks, window=rule.window, epsilon=rule.epsilon)
+        small = {**BASE, **stop, "grid_width": 8, "grid_height": 8}
         configs = [
-            replace(cfg, max_ticks=rule.max_ticks, window=rule.window, epsilon=rule.epsilon)
-            for cfg in (
-                ExperimentConfig(grid_width=8, grid_height=8, demand_mat=30.0, demand_nm=30.0, seed=3),
-                ExperimentConfig(grid_width=9, grid_height=9, seed=2),
-                mixed_configs()[1],
-            )
+            ExperimentConfig(**{**small, "demand_mat": 30.0, "demand_nm": 30.0, "seed": 3}),
+            ExperimentConfig(**{**stop, "grid_width": 8, "grid_height": 8, "seed": 2}),
+            ExperimentConfig(
+                **small, moore_radius=2, n_tele=15, attitude_sigma=0.3, norm_weight_sigma=0.1,
+                cm_int_sigma=0.1, cm_ext_sigma=0.1, inertia_lambda=0.2, inertia_sigma=0.1,
+            ),
         ]
 
         def batch():
@@ -362,21 +364,28 @@ class TestDrawAhead:
     rng.choice call per tick the run took leaves a fresh one."""
 
     def test_mixed_batch(self):
-        tiny = ExperimentConfig(**{**BASE, "grid_width": 3, "grid_height": 3})
-        full = ExperimentConfig(**{**BASE, "grid_width": 101, "grid_height": 101})
-        configs = [*mixed_configs(), tiny, full]
-        # the 3x3 run draws no cells; the 101x101 run takes numpy's shuffle branch
-        assert selection_count(9) == 0 and selection_count(101 * 101) > 10_201 // 50
-        taken = ticks_and_rewound_generators(configs, experiments._stop_rule(configs[0]))
+        rule = experiments._stop_rule(mixed_configs()[0])
+        taken = ticks_and_rewound_generators(mixed_configs(), rule)
         assert taken[2] == BASE["max_ticks"]  # the economic baseline is capped
         assert sum(t % DRAW_AHEAD != 0 for t in taken) >= 3  # runs that end mid-refill
-        assert taken[-1] % DRAW_AHEAD != 0
+
+    @pytest.mark.parametrize("side", [3, 101])
+    def test_batches_off_the_floyd_path(self, side):
+        # a 3x3 run draws no cells; a 101x101 run takes numpy's shuffle branch
+        assert selection_count(9) == 0 and selection_count(101 * 101) > 10_201 // 50
+        configs = [
+            ExperimentConfig(**{**BASE, "grid_width": side, "grid_height": side}, moore_radius=r)
+            for r in (1, 2)
+        ]
+        taken = ticks_and_rewound_generators(configs, experiments._stop_rule(configs[0]))
+        assert all(t % DRAW_AHEAD != 0 for t in taken)
 
     def test_scheduled_batch(self):
         ramp = ((0, 0.0), (37, 0.5))
+        configs = [replace(cfg, schedule=ramp) for cfg in scheduled_configs()]
+        assert ticks_and_rewound_generators(configs, AttitudeSchedule(ramp)) == [37] * 3
         tiny = ExperimentConfig(**{**BASE, "grid_width": 3, "grid_height": 3}, schedule=ramp)
-        configs = [replace(cfg, schedule=ramp) for cfg in scheduled_configs()] + [tiny]
-        assert ticks_and_rewound_generators(configs, AttitudeSchedule(ramp)) == [37] * 4
+        assert ticks_and_rewound_generators([tiny, tiny], AttitudeSchedule(ramp)) == [37] * 2
 
     def test_batch_starting_at_tick_12(self):
         configs = mixed_configs()[:4]
@@ -385,7 +394,8 @@ class TestDrawAhead:
         assert any(t % DRAW_AHEAD for t in taken)
 
     @given(
-        sides=st.lists(st.tuples(st.integers(3, 12), st.integers(3, 12)), min_size=1, max_size=4),
+        side=st.tuples(st.integers(3, 12), st.integers(3, 12)),
+        runs=st.integers(1, 4),
         window=st.integers(1, 40),
         extra=st.integers(0, 40),
         epsilon=st.sampled_from([0.005, 0.02, 0.1, 1.0]),
@@ -393,12 +403,12 @@ class TestDrawAhead:
         seed=st.integers(0, 1000),
     )
     @settings(max_examples=25, deadline=None)
-    def test_random_batches(self, sides, window, extra, epsilon, start, seed):
+    def test_random_batches(self, side, runs, window, extra, epsilon, start, seed):
+        w, h = side
         configs = [
             ExperimentConfig(grid_width=w, grid_height=h, demand_mat=5.0 * w * h, demand_nm=5.0 * w * h,
                              seed=seed)
-            for w, h in sides
-        ]
+        ] * runs
         ticks_and_rewound_generators(configs, StopRule(window + extra, window, epsilon), start)
 
 
@@ -412,6 +422,7 @@ class TestCampaignBatches:
         side = math.isqrt(experiments.CELL_BUDGET // 2) + 1
         large = ExperimentConfig(grid_width=side, grid_height=side)
         assert [len(b) for b in experiments._batches([(large, 0), (large, 1)])] == [1, 1]
+        assert experiments._batches([]) == []
 
     def test_batched_replicates_equal_single_runs(self):
         cfg = mixed_configs()[4]
@@ -432,26 +443,21 @@ class TestCampaignBatches:
             assert_trajectories_equal(a.trajectory, b.trajectory)
             assert np.array_equal(a.state.grid.aft_id, b.state.grid.aft_id)
 
-    def test_batches_cut_where_the_stop_rule_changes(self):
-        short = ExperimentConfig(grid_width=25, grid_height=25, max_ticks=100, window=10)
-        longer = replace(short, max_ticks=200)
-        ramp = replace(short, schedule=((0, 0.0), (50, 0.5)))
-
-        def rules(batches):
-            return [[experiments._stop_rule(cfg) for cfg, _ in batch] for batch in batches]
-
-        kinds = [short] * 3 + [longer] * 2 + [ramp] * 2 + [short]
-        batches = experiments._batches([(cfg, k) for k, cfg in enumerate(kinds)])
-        assert [len(b) for b in batches] == [3, 2, 2, 1]
-        assert all(len(set(map(repr, r))) == 1 for r in rules(batches))
-        assert [k for b in batches for _, k in b] == list(range(len(kinds)))
-        # the cell budget still cuts runs under one rule
-        per_batch = experiments.CELL_BUDGET // 625
-        jobs = [(short, k) for k in range(per_batch + 2)] + [(longer, k) for k in range(3)]
-        assert [len(b) for b in experiments._batches(jobs)] == [per_batch, 2, 3]
-        # and so does each worker's share: 8 runs over 2 workers is 4 a batch
-        jobs = [(short, k) for k in range(3)] + [(longer, k) for k in range(5)]
-        assert [len(b) for b in experiments._batches(jobs, threads=2)] == [3, 4, 1]
+    def test_a_batch_holds_one_grid_shape(self):
+        # a campaign varies only sweepable keys, so its runs share one grid
+        # and one stop rule; a batch of two shapes is refused
+        small = ExperimentConfig(grid_width=9, grid_height=9)
+        other = ExperimentConfig(grid_width=9, grid_height=10)
+        for configs in ([small, other], [other, small, small]):
+            with pytest.raises(ConfigurationError, match="one grid shape"):
+                Lockstep(build_batch(configs))
+            with pytest.raises(ConfigurationError, match="one grid shape"):
+                run_lockstep(build_batch(configs), StopRule(50, 10, 0.01))
+        # _batches cuts only by the cell budget, in job order
+        per_batch = experiments.CELL_BUDGET // 81
+        batches = experiments._batches([(small, k) for k in range(per_batch + 2)])
+        assert [len(b) for b in batches] == [per_batch, 2]
+        assert [k for b in batches for _, k in b] == list(range(per_batch + 2))
 
     def test_threads_get_a_batch_each(self):
         # a campaign that fits one batch is still split over the workers
@@ -540,24 +546,21 @@ class TestCampaignBatches:
                     acc += [traj.share_c[-1], traj.share_mi[-1], traj.share_hi[-1], traj.s_mat[-1], traj.s_nm[-1]]
                 assert np.array_equal(outputs[r], acc / replicates)
 
-    def test_design_rows_with_their_own_window_equal_the_rows_alone(self):
-        # a window dimension gives rows different stop rules, so the design
-        # is cut into batches wherever the rounded window changes
+    def test_a_design_cannot_vary_the_stop_rule(self, monkeypatch):
+        # a window dimension would give rows their own stop rules: it is
+        # rejected by name before any run is built
         space = ParameterSpace(
             (ParameterDim("attitude_mean", -0.5, 0.5), ParameterDim("window", 5, 15, kind="integer"))
         )
-        base = ExperimentConfig(
-            grid_width=9, grid_height=9, demand_mat=30.0, demand_nm=30.0,
-            max_ticks=60, window=10, seed=7,
-        )
+        base = ExperimentConfig(grid_width=9, grid_height=9, max_ticks=60, window=10, seed=7)
         design = saltelli_sample(space, 4, seed=7)
-        configs = [experiments.map_sample_to_config(list(row), space, base) for row in design.matrix]
-        assert len({cfg.window for cfg in configs}) >= 3
-        outputs = evaluate_design(design, base)
-        for r, cfg in enumerate(configs):
-            _, traj = run_alone(cfg, (base.seed, design.base_index(r), 0))
-            row = [traj.share_c[-1], traj.share_mi[-1], traj.share_hi[-1], traj.s_mat[-1], traj.s_nm[-1]]
-            assert np.array_equal(outputs[r], row)
+
+        def no_run(*args):
+            raise AssertionError("a run was built")
+
+        monkeypatch.setattr(experiments, "build_state", no_run)
+        with pytest.raises(ConfigurationError, match="cannot vary 'window'"):
+            evaluate_design(design, base)
 
     def test_sweep_points_share_a_lattice_yet_match(self):
         cfg = mixed_configs()[0]

@@ -492,9 +492,10 @@ class TestNeighbourIntensityFraction:
         assert got == 0.0
 
 
-# One run of a mixed batch: grid width and height, radius (clamped below the
-# grid), the share of free pairs the first round of teleconnections fills,
-# the share of what is left a second round fills, and a seed.
+# One run of a batch: grid width and height, radius (clamped below the grid),
+# the share of free pairs the first round of teleconnections fills, the share
+# of what is left a second round fills, and a seed. Runs of one shape share a
+# batch.
 _RUN = st.tuples(
     st.integers(3, 9), st.integers(3, 9), st.integers(1, 5),
     st.floats(0, 1), st.floats(0, 1), st.integers(0, 2**31 - 1),
@@ -504,13 +505,14 @@ _RUN = st.tuples(
 class TestOverlayEqualsMergedBuild:
     @given(st.lists(_RUN, min_size=1, max_size=4))
     @example([(9, 9, 5, 1.0, 0.0, 3), (9, 9, 5, 0.01, 0.5, 4), (4, 7, 2, 0.2, 1.0, 5)])
+    @example([(6, 5, 1, 0.1, 0.0, 7), (6, 5, 3, 0.0, 0.0, 8), (6, 5, 2, 0.5, 0.5, 9), (3, 3, 1, 0.0, 0.0, 1)])
     @example([(3, 3, 1, 1.0, 0.0, 0)])
     @settings(max_examples=40, deadline=None)
     def test_degrees_counts_and_merged_view(self, runs):
-        # Two rounds of teleconnections over lattices, in one batch: every
-        # cell's neighbours and neighbour fractions, the batch degrees and the
-        # neighbour counts after 20 ticks of commits all equal the
-        # np.insert-merged networks'.
+        # Two rounds of teleconnections over lattices, in one batch per grid
+        # shape: every cell's neighbours and neighbour fractions, the batch
+        # degrees and the neighbour counts after 20 ticks of commits all equal
+        # the np.insert-merged networks'.
         states, merged = [], []
         for point, (w, h, r, fill, refill, seed) in enumerate(runs):
             r = min(r, min(w, h) - 1)
@@ -538,12 +540,16 @@ class TestOverlayEqualsMergedBuild:
             states.append(dataclasses.replace(build_state(cfg, (seed, point, 0)), network=twice))
             merged.append(want)
 
-        batch = Lockstep(states)
-        assert np.array_equal(batch.degree, np.concatenate([np.diff(m.indptr) for m in merged]))
-        for _ in range(20):
-            tick(batch)
-        want_counts = [class_counts_of(m, s.grid.aft_id) for m, s in zip(merged, states)]
-        assert np.array_equal(batch.neighbour_counts, np.concatenate(want_counts))
+        by_shape = {}
+        for state, want in zip(states, merged):
+            by_shape.setdefault((state.grid.width, state.grid.height), []).append((state, want))
+        for runs in by_shape.values():
+            batch = Lockstep([state for state, _ in runs])
+            assert np.array_equal(batch.degree, np.concatenate([np.diff(m.indptr) for _, m in runs]))
+            for _ in range(20):
+                tick(batch)
+            want_counts = [class_counts_of(m, s.grid.aft_id) for s, m in runs]
+            assert np.array_equal(batch.neighbour_counts, np.concatenate(want_counts))
 
     def test_networks_compare_by_identity(self):
         # a run's network is its own: == and hash() never compare pair arrays

@@ -19,6 +19,7 @@ from ablum import (
     ParameterDim,
     ParameterSpace,
     SobolIndices,
+    apply_values,
     default_parameter_space,
     map_sample_to_config,
     round_half_up,
@@ -389,12 +390,26 @@ class TestMapSampleToConfig:
         assert isinstance(cfg.moore_radius, int)
         assert cfg.n_tele == 1251
 
-    def test_threshold_ceiling_pinned(self):
+    def test_threshold_ceiling_honoured(self):
+        # a configured giving-in ceiling is kept, and a space may vary it
         base = replace(ExperimentConfig(), git_upper_L=0.65)
         space = default_parameter_space()
         row = [d.lower for d in space.dims]
         cfg = map_sample_to_config(row, space, base)
-        assert cfg.git_upper_L == 1.0
+        assert cfg.git_upper_L == 0.65
+        space = ParameterSpace((ParameterDim("git_upper_L", 0.1, 0.9),))
+        assert map_sample_to_config([0.3], space, base).git_upper_L == 0.3
+
+    def test_rows_go_through_apply_values(self):
+        # the cm alias sets both keys, and a key no sweep may set is refused
+        # with the sweep's message
+        space = ParameterSpace((ParameterDim("cm", 0.1, 0.8), ParameterDim("n_tele", 0, 10, kind="integer")))
+        cfg = map_sample_to_config([0.25, 2.5], space, ExperimentConfig())
+        assert cfg == apply_values(ExperimentConfig(), {"cm": 0.25, "n_tele": 3})
+        for name in ("window", "grid_width", "phase_of_moon"):
+            space = ParameterSpace((ParameterDim(name, 5, 15, kind="integer"),))
+            with pytest.raises(ConfigurationError, match=f"^cannot vary '{name}'; sweepable: "):
+                map_sample_to_config([10], space, ExperimentConfig())
 
     def test_other_base_fields_kept(self):
         base = replace(ExperimentConfig(), grid_width=25, grid_height=25, seed=99)

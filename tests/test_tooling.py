@@ -4,8 +4,9 @@ perfbench/tracing.py lists the module attributes it wraps by name; one the
 package no longer defines is skipped and its layer reads zero. The first test
 fails instead, so a rename is caught with the code that made it. The README
 tests catch a quick-start command or a named file that no longer exists, a
-flag table that no longer lists exactly the flags each command takes, and a
-batch budget or a draw-ahead span that no longer matches the code's.
+flag table that no longer lists exactly the flags each command takes, a
+sweepable-key list, a batch budget or a draw-ahead span that no longer
+matches the code's.
 """
 
 import argparse
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from ablum import cli, dynamics, experiments, load_config
+from ablum import cli, config, dynamics, experiments, load_config
 
 REPO = Path(__file__).resolve().parents[1]
 BENCH_DIR = REPO / "perfbench"
@@ -65,6 +66,13 @@ def test_readme_names_only_existing_presets_and_scripts():
     for name in sorted(named):
         if name.endswith(".cfg"):
             load_config(REPO / name)
+
+
+def test_readme_sweepable_keys_match_the_code():
+    (keys,) = re.findall(r"sweepable\s+keys\s+are (.*?) \(`NUMERIC_KEYS`", README, re.S)
+    assert tuple(re.findall(r"`(\w+)`", keys)) == config.NUMERIC_KEYS
+    (alias,) = re.findall(r"plus the alias `(\w+)`", README)
+    assert alias == config.CM_ALIAS
 
 
 def test_readme_cell_budget_matches_the_code():
