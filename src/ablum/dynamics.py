@@ -6,7 +6,9 @@ each drawn cell against a start-of-tick snapshot. A competitor wins only
 if its utility surplus over the incumbent strictly exceeds the manager's
 giving-in threshold; among admissible competitors the largest
 surplus-over-threshold wins, with ties broken towards the smaller intensity
-jump, then the lower type id.
+jump, then the lower type id. A threshold is never negative, so only the
+(type, drawn cell) pairs with a positive surplus can switch, and a tick
+evaluates thresholds for those pairs alone.
 
 One engine serves one run and many: a Lockstep batch advances independent
 runs together, one vectorised tick for all, and a single run is a batch of
@@ -34,7 +36,7 @@ import numpy as np
 from .behaviour import BehaviourGlobals, BehaviouralProfile, _giving_in, _influence_score, clip_social
 from .errors import ConfigurationError
 from .landscape import DEFAULT_AFTS, INTENSITY, S_NAT, S_PROD, AgentFunctionalType, Cell, LandscapeGrid
-from .metrics import Trajectory, total_supply
+from .metrics import Trajectory
 from .network import Network
 
 # Fraction of cells reconsidering their management each tick.
@@ -44,9 +46,14 @@ UPDATE_FRACTION = 0.05
 DRAW_AHEAD = 16
 
 _N_TYPES = len(DEFAULT_AFTS)
-# Row i, column j: whether type j's intensity is at or above (below) type i's.
-_AT_OR_ABOVE = INTENSITY[None, :] >= INTENSITY[:, None]
-_AT_OR_BELOW = INTENSITY[None, :] <= INTENSITY[:, None]
+# Flat [c, i, t]: whether a neighbour of class c conforms to a switch from
+# type i to type t: at or above t's intensity if t is more intense than i,
+# else at or below it.
+_CONFORMING = np.where(
+    INTENSITY[None, None, :] > INTENSITY[None, :, None],
+    INTENSITY[:, None, None] >= INTENSITY[None, None, :],
+    INTENSITY[:, None, None] <= INTENSITY[None, None, :],
+).reshape(-1)
 
 
 @dataclass
@@ -228,21 +235,26 @@ class Lockstep:
     b's cell i is batch cell ``offsets[b] + i``, or ``b * n_cells + i``.
     Land use, capitals and decision parameters (``params``) are joined along
     that index, so a tick decides for every run in one set of array
-    operations. Each run's ``grid.aft_id`` becomes a view of the joined land
-    use, so a commit updates every run in place. Commits also keep
-    ``class_counts`` (each run's cells per class) and ``neighbour_counts``
-    (each cell's neighbours per class) current.
+    operations. Each run's ``grid.aft_id``, ``grid.c_prod`` and
+    ``grid.c_nat`` become views of the joined arrays, so a commit updates
+    every run in place and no capital is held twice. Commits also keep
+    ``class_counts`` (each run's cells per class), ``neighbour_counts`` (each
+    cell's neighbours per class) and ``s_prod``, ``s_nat`` (each cell's
+    sensitivities under its land use) current.
 
     Networks are never copied per run: the batch keeps each distinct lattice
-    value once (``lattices``; run b uses ``lattices[lattice_of[b]]``), reads
-    its neighbours through the lattice's stencil, and joins only the runs'
+    value once (``lattices``; run b uses ``lattices[lattice_of[b]]``). The
+    lattices of one grid differ only in radius, so every neighbour comes from
+    one gather through the widest one's stencil (``widest``), cut to each
+    run's radius (``radius``). The batch joins only the runs'
     teleconnections, as directed batch-cell pairs sorted by source
     (``tele_src``, ``tele_dst``).
 
     Runs keep their own generator, demand and supply. A tick draws only the
     runs in ``live`` (ascending). ``supply[b]`` is run b's (material,
     non-material) supply, priced when the batch is built and again by every
-    commit that changes the run's land use.
+    commit that changes the run's land use, all such runs in one stacked
+    matmul per service.
 
     ``picks[b, t]`` holds run b's cells for the t-th tick since the last
     refill, which draws every live run at once: one tick, or, when
@@ -265,11 +277,12 @@ class Lockstep:
         self.offsets = self.n_cells * np.arange(len(grids) + 1)
         self.draws = selection_count(self.n_cells)
         self.aft_id = _join([g.aft_id for g in grids])
-        if len(grids) > 1:
-            for g, lo, hi in zip(grids, self.offsets, self.offsets[1:]):
-                g.aft_id = self.aft_id[lo:hi]
         self.c_prod = _join([g.c_prod for g in grids])
         self.c_nat = _join([g.c_nat for g in grids])
+        if len(grids) > 1:
+            for g, lo, hi in zip(grids, self.offsets, self.offsets[1:]):
+                g.aft_id, g.c_prod, g.c_nat = self.aft_id[lo:hi], self.c_prod[lo:hi], self.c_nat[lo:hi]
+        self.s_prod, self.s_nat = S_PROD[self.aft_id], S_NAT[self.aft_id]
         self.params = {
             f.name: _join_param([getattr(g.profiles, f.name) for g in grids], self.n_cells)
             for f in fields(BehaviouralProfile)
@@ -284,6 +297,11 @@ class Lockstep:
         self.lattice_of = np.array([self.lattices.index(net.lattice) for net in nets])
         lattice_degrees = [lattice.degrees() for lattice in self.lattices]
         self.degree = _join([lattice_degrees[g] for g in self.lattice_of])
+        # The lattices differ only in radius: the widest one's stencil, cut
+        # to each run's radius, gives every run's neighbours.
+        radii = np.array([lattice.radius for lattice in self.lattices])
+        self.widest = self.lattices[radii.argmax()]
+        self.radius = radii[self.lattice_of]
         self.neighbour_counts = _join(
             [net.lattice.class_counts(g.aft_id, _N_TYPES) for net, g in zip(nets, grids)]
         )
@@ -338,11 +356,27 @@ class Lockstep:
             _choice_draws(rngs, self.n_cells, self.draws, taken)
 
     def refresh_supply(self, runs: np.ndarray) -> None:
-        """Price the supply of the given runs, into ``supply`` and into each
-        run's demand state."""
-        for b in runs.tolist():
+        """Price the supply of the given runs (ascending), into ``supply`` and
+        into each run's demand state.
+
+        One stacked matmul per service takes every run's dot product of its
+        cells' sensitivities and capitals. numpy hands each (1, n) @ (n, 1)
+        row to the BLAS dot that `metrics.total_supply`'s ``@`` calls, so the
+        totals are the same bits."""
+        if not runs.size:
+            return
+        # Views of the runs from the first given to the last copy nothing;
+        # the runs between are priced too, and dropped.
+        lo, hi = self.offsets[runs[0]], self.offsets[runs[-1] + 1]
+        shape = (-1, 1, self.n_cells)
+        services = [(self.s_prod, self.c_prod), (self.s_nat, self.c_nat)]
+        for column, (sensitivity, capital) in enumerate(services):
+            rows = sensitivity[lo:hi].reshape(shape)
+            cols = capital[lo:hi].reshape(shape).transpose(0, 2, 1)
+            self.supply[runs, column] = np.matmul(rows, cols).reshape(-1)[runs - runs[0]]
+        for b, (s_mat, s_nm) in zip(runs.tolist(), self.supply[runs].tolist()):
             demand = self.states[b].demand
-            demand.s_mat, demand.s_nm = self.supply[b] = total_supply(self.states[b].grid)
+            demand.s_mat, demand.s_nm = s_mat, s_nm
 
     def refresh_attitude(self) -> None:
         """Re-join the attitudes after a schedule changed some of them."""
@@ -354,15 +388,7 @@ class Lockstep:
         and for each neighbour the position in ``cells`` of the cell it
         neighbours."""
         rows = cells - self.offsets[runs]
-        if len(self.lattices) == 1:
-            nb, at = self.lattices[0].gather(rows)
-        else:
-            parts = []
-            for g, lattice in enumerate(self.lattices):
-                mine = np.flatnonzero(self.lattice_of[runs] == g)
-                nb, at = lattice.gather(rows[mine])
-                parts.append((nb, mine[at]))
-            nb, at = (np.concatenate(p) for p in zip(*parts))
+        nb, at = self.widest.gather(rows, self.radius[runs])
         nb += (cells - rows)[at]  # back to batch cells
         if self.tele_src.size:
             bounds = np.searchsorted(self.tele_src, cells), np.searchsorted(self.tele_src, cells, "right")
@@ -373,6 +399,7 @@ class Lockstep:
     def commit(self, cells: np.ndarray, old: np.ndarray, new: np.ndarray) -> None:
         """Switch cells from their old to their new class, all at once."""
         self.aft_id[cells] = new
+        self.s_prod[cells], self.s_nat[cells] = S_PROD[new], S_NAT[new]
         runs = cells // self.n_cells
         nb, at = self.neighbours(cells, runs)
         nb *= _N_TYPES
@@ -404,30 +431,39 @@ def tick(state: SimulationState | Lockstep) -> TickReport:
 
     benefit = np.repeat(unit_benefit(batch.demand[live], batch.supply[live]), batch.draws, axis=0)
     inc = batch.aft_id[sel]
+    # Rows are candidate types, columns the drawn cells.
     utilities = (
         benefit[:, 0] * S_PROD[:, None] * batch.c_prod[sel]
         + benefit[:, 1] * S_NAT[:, None] * batch.c_nat[sel]
     )
-    u_inc = utilities[inc, np.arange(sel.size)]
+    surplus = utilities - utilities[inc, np.arange(sel.size)]
 
-    # Rows are candidate types, columns the drawn cells.
-    counts = batch.neighbour_counts[sel].T
-    deg = batch.degree[sel]
-    with np.errstate(invalid="ignore"):
-        p_ge = (_AT_OR_ABOVE @ counts) / deg
-        p_le = (_AT_OR_BELOW @ counts) / deg
-
+    # A threshold is never negative and the incumbent's surplus is 0, so only
+    # pairs (type t, drawn cell j) with a positive surplus can switch; the
+    # thresholds are evaluated for those pairs alone.
+    pairs = np.flatnonzero(surplus > 0)
+    t, j = np.divmod(pairs, sel.size)
+    surplus = surplus.reshape(-1)[pairs]
+    cells, old = sel[j], inc[j]
     # Per-run values have one entry per run, per-cell values one per batch
     # cell; a batch never has more runs than cells, and if as many, the two
     # indexings agree.
-    run_of = np.repeat(live, batch.draws)
+    run_of = live[j // batch.draws]
     params = {
-        name: v[run_of if v.size == len(batch.states) else sel] if v.ndim else v
+        name: v[run_of if v.size == len(batch.states) else cells] if v.ndim else v
         for name, v in batch.params.items()
     }
-    delta = INTENSITY[:, None] - INTENSITY[inc]
+    delta = INTENSITY[t] - INTENSITY[old]
     intensifying = delta > 0
-    p = np.where(intensifying, p_ge, p_le)
+    # Each pair's neighbours of every class (rows), kept where the class
+    # conforms: an integer sum, so p is exact.
+    classes = np.arange(_N_TYPES)[:, None]
+    conforming = (
+        batch.neighbour_counts.reshape(-1)[cells * _N_TYPES + classes]
+        * _CONFORMING[(classes * _N_TYPES + old) * _N_TYPES + t]
+    ).sum(axis=0)
+    with np.errstate(invalid="ignore"):
+        p = conforming / batch.degree[cells]
     cm = np.where(intensifying, params["cm_int"], params["cm_ext"])
     a_eff = -np.sign(delta) * params["attitude"]
     jump = np.abs(delta)
@@ -437,16 +473,15 @@ def tick(state: SimulationState | Lockstep) -> TickReport:
     git = _giving_in(params["git_upper"], params["logistic_k"], x)
     if batch.economic is not None:
         git = np.where(batch.economic[run_of], 0.0, git)
-    surplus = utilities - u_inc
-    admissible = (np.arange(_N_TYPES)[:, None] != inc) & (surplus > git)
-    score = np.where(admissible, surplus - git, -np.inf)
+    admissible = np.flatnonzero(surplus > git)
 
     # The largest score wins; ties go to the smaller jump, then the lower id.
-    best = score.max(axis=0)
-    tied_jump = np.where(score == best, jump, np.inf)
-    best_id = np.argmax(tied_jump == tied_jump.min(axis=0), axis=0)
-    changed = best > -np.inf
-    report = TickReport(sel, sel[changed], inc[changed], best_id[changed])
+    # git - surplus is the score negated, exactly.
+    t, j = t[admissible], j[admissible]
+    order = np.lexsort((t, jump[admissible], git[admissible] - surplus[admissible], j))
+    t, j = t[order], j[order]
+    first = j != np.concatenate(([-1], j[:-1]))
+    report = TickReport(sel, sel[j[first]], inc[j[first]], t[first])
     batch.commit(report.cells, report.old_aft, report.new_aft)
     return report
 
@@ -503,7 +538,10 @@ def run_lockstep(
     ``window + 1`` steps in ``recent[b]``, step s in column s % (window + 1),
     so one max-minus-min over those columns decides settling for every live
     run at once. Every column starts at step 0's shares, which belong to the
-    trailing window for as long as fewer steps have been taken.
+    trailing window for as long as fewer steps have been taken. The live
+    runs' rows are read through an index made once per change of the live
+    set: a slice, which gathers nothing, while they are one contiguous range,
+    as a single run always is.
     """
     if len({s.tick for s in states}) > 1:
         raise ConfigurationError("runs in a batch must start on the same tick")
@@ -524,16 +562,21 @@ def run_lockstep(
     attitudes[:, 0] = [np.mean(s.grid.profiles.attitude) for s in states]
     blocks: list[tuple[np.ndarray, np.ndarray]] = []
 
-    def record(runs: np.ndarray, step: int) -> None:
-        shares = batch.class_counts[runs] / batch.n_cells
-        recent[runs, :, step % (window + 1)] = shares
+    def rows_of(runs: np.ndarray) -> slice | np.ndarray:
+        contiguous = runs.size and runs[-1] - runs[0] + 1 == runs.size
+        return slice(runs[0], runs[-1] + 1) if contiguous else runs
+
+    def record(runs: np.ndarray, rows: slice | np.ndarray, step: int) -> None:
+        shares = batch.class_counts[rows] / batch.n_cells
+        recent[rows, :, step % (window + 1)] = shares
         if scheduled:
-            attitudes[runs, 0] = [np.mean(states[b].grid.profiles.attitude) for b in runs.tolist()]
-            attitudes[runs, 1] = rule.mean_at(first_tick + step)
-        blocks.append((runs, np.concatenate([shares, batch.supply[runs], attitudes[runs]], axis=1)))
+            attitudes[rows, 0] = [np.mean(states[b].grid.profiles.attitude) for b in runs.tolist()]
+            attitudes[rows, 1] = rule.mean_at(first_tick + step)
+        blocks.append((runs, np.concatenate([shares, batch.supply[rows], attitudes[rows]], axis=1)))
 
     live = np.arange(len(states))
-    record(live, 0)
+    rows = rows_of(live)
+    record(live, rows, 0)
     recent[...] = recent[:, :, :1]
     step = 0
     while step < last_step and live.size:
@@ -544,10 +587,13 @@ def run_lockstep(
             for b in live.tolist():
                 apply_attitude_schedule(states[b], rule)
             batch.refresh_attitude()
-        record(live, step)
+        record(live, rows, step)
         if settle_step <= step:
-            shares = recent[live]
-            live = live[((shares.max(axis=2) - shares.min(axis=2)) >= rule.epsilon).any(axis=1)]
+            shares = recent[rows]
+            moving = ((shares.max(axis=2) - shares.min(axis=2)) >= rule.epsilon).any(axis=1)
+            if not moving.all():
+                live = live[moving]
+                rows = rows_of(live)
     batch.rewind()
 
     runs = np.concatenate([r for r, _ in blocks])

@@ -84,25 +84,33 @@ class MooreLattice:
         return counts.reshape(self.n_cells, n_classes)
 
     @cached_property
-    def _stencil(self) -> tuple[np.ndarray, np.ndarray]:
+    def _stencil(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cell ids on the grid padded by the radius, -1 off the grid, flat;
-        and the flat offsets from a cell to its neighbours there, ascending."""
+        the flat offsets from a cell to its neighbours there, ascending; and
+        each offset's Chebyshev distance."""
         r, h, w = self.radius, self.height, self.width
         ids = np.full((h + 2 * r, w + 2 * r), -1, dtype=np.int64)
         ids[r : r + h, r : r + w] = np.arange(self.n_cells).reshape(h, w)
         d = np.arange(-r, r + 1)
         offsets = (d[:, None] * (w + 2 * r) + d).reshape(-1)
-        return ids.reshape(-1), np.delete(offsets, offsets.size // 2)
+        ring = np.maximum.outer(np.abs(d), np.abs(d)).reshape(-1)
+        centre = offsets.size // 2
+        return ids.reshape(-1), np.delete(offsets, centre), np.delete(ring, centre)
 
-    def gather(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def gather(
+        self, cells: np.ndarray, radius: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Neighbours of the given cells, concatenated, each cell's ascending,
         and for each neighbour the position in ``cells`` of the cell it
-        neighbours."""
-        ids, offsets = self._stencil
+        neighbours. ``radius``, one per cell and at most the lattice's, keeps
+        each cell's neighbours within it: those of that radius's lattice."""
+        ids, offsets, ring = self._stencil
         r = self.radius
         y, x = np.divmod(cells, self.width)
         nb = ids[((y + r) * (self.width + 2 * r) + x + r)[:, None] + offsets]
         inside = nb >= 0
+        if radius is not None:
+            inside &= ring <= radius[:, None]
         return nb[inside], np.nonzero(inside)[0]
 
     def neighbours(self, i: int) -> np.ndarray:

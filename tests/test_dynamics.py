@@ -327,18 +327,19 @@ class TestTick:
         states = [make_state(seed=s, capital_seed=5 + s, economic_baseline=s % 2 == 0) for s in range(4)]
         changing = []
         priced = []
+        refresh_supply = Lockstep.refresh_supply
 
         def counted_tick(batch):
             report = tick(batch)
             changing.append(changed_runs(batch, report).size)
             return report
 
-        def counted_supply(grid):
-            priced.append(grid)
-            return total_supply(grid)
+        def counted_refresh(batch, runs):
+            priced.extend(runs.tolist())
+            refresh_supply(batch, runs)
 
         monkeypatch.setattr(dynamics, "tick", counted_tick)
-        monkeypatch.setattr(dynamics, "total_supply", counted_supply)
+        monkeypatch.setattr(Lockstep, "refresh_supply", counted_refresh)
         run_lockstep(states, StopRule(max_ticks=40, window=5))
         assert sum(changing) > len(changing) > 0
         assert len(priced) == len(states) + sum(changing)

@@ -2,7 +2,9 @@
 
 perfbench/tracing.py lists the module attributes it wraps by name; one the
 package no longer defines is skipped and its layer reads zero. The first test
-fails instead, so a rename is caught with the code that made it. The README
+fails instead, so a rename is caught with the code that made it; the second
+fails if a tick stops calling the wrapped threshold kernels, or calls them
+on other pairs than the ones whose surplus is positive. The README
 tests catch a quick-start command or a named file that no longer exists, a
 flag table that no longer lists exactly the flags each command takes, a
 sweepable-key list, a batch budget or a draw-ahead span that no longer
@@ -14,9 +16,21 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ablum import cli, config, dynamics, experiments, load_config
+from ablum import (
+    DEFAULT_AFTS,
+    DemandState,
+    ExperimentConfig,
+    build_state,
+    cli,
+    config,
+    dynamics,
+    experiments,
+    load_config,
+    utility,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 BENCH_DIR = REPO / "perfbench"
@@ -31,6 +45,32 @@ def test_every_traced_attribute_exists(monkeypatch):
     import tracing
 
     assert tracing.Tracer().missing == []
+
+
+def test_a_tick_evaluates_thresholds_for_the_positive_surplus_pairs(monkeypatch):
+    cfg = ExperimentConfig(grid_width=12, grid_height=12, demand_mat=60.0, demand_nm=60.0, moore_radius=2)
+    states = [build_state(cfg, (cfg.seed, k, 0)) for k in range(3)]
+    batch = dynamics.Lockstep(states)
+    before, supply = batch.aft_id.copy(), batch.supply.copy()
+    sizes = {}
+    for name in ("_giving_in", "_influence_score", "clip_social"):
+        kernel = getattr(dynamics, name)
+
+        def counted(*args, kernel=kernel, name=name):
+            sizes.setdefault(name, []).append(np.size(args[-1]))
+            return kernel(*args)
+
+        monkeypatch.setattr(dynamics, name, counted)
+    report = dynamics.tick(batch)
+    positive = 0
+    for c in report.selected.tolist():
+        b, i = divmod(c, batch.n_cells)
+        demand = DemandState(*batch.demand[b], *supply[b])
+        cell = states[b].grid.cell(i)
+        u = [utility(aft, cell, demand) for aft in DEFAULT_AFTS]
+        positive += sum(x - u[before[c]] > 0 for x in u)
+    assert 0 < positive < 2 * report.selected.size
+    assert sizes == {"_giving_in": [positive], "_influence_score": [positive], "clip_social": [positive]}
 
 
 def test_readme_quick_start_commands_parse():
