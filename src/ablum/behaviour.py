@@ -54,7 +54,7 @@ class BehaviouralProfile:
         for f in fields(self):
             lo, hi = f.metadata["range"]
             value = np.asarray(getattr(self, f.name))
-            if np.any(value < lo) or np.any(value > hi):
+            if not np.all((value >= lo) & (value <= hi)):
                 raise ConfigurationError(f"{f.name} must lie in [{lo}, {hi}]")
 
     def at(self, i: int) -> "BehaviouralProfile":
@@ -73,7 +73,7 @@ class BehaviourGlobals:
     logistic_k: float = 10.0
 
     def __post_init__(self):
-        if self.logistic_k <= 0:
+        if not self.logistic_k > 0:
             raise ConfigurationError("logistic_k must be positive")
 
 
@@ -116,7 +116,7 @@ def _giving_in(git_upper, logistic_k, x):
 
 
 def giving_in_threshold(profile: BehaviouralProfile, globals_: BehaviourGlobals, x):
-    """Logistic threshold in (0, git_upper); high scores give in easily."""
+    """Logistic threshold in [0, git_upper]; high scores give in easily."""
     return _giving_in(profile.git_upper, globals_.logistic_k, x)
 
 

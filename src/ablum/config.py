@@ -139,7 +139,7 @@ class ExperimentConfig:
     window: int = key(50, "stopping", ">= 1")
     epsilon: float = key(0.002, "stopping", "> 0")
 
-    seed: int = key(0, "run")
+    seed: int = key(0, "run", ">= 0")
     replications: int = key(1, "run", ">= 1")
 
     sweep: SweepSpec | None = key(None, "sweep")

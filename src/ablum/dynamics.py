@@ -20,9 +20,9 @@ Every run keeps its own generator, and its cells are exactly those one
 ``rng.integers`` call, and the batch resolves them into numpy's picks all at
 once; at the end each generator is rewound past the ticks its run did not
 take, so every output and every final generator state is unchanged. Grids
-above 10,000 cells, where numpy shuffles part of arange(n) instead of using
-Floyd's algorithm, still call ``rng.choice`` once per tick: that shuffle is
-one swap after another, so an array form would loop over all k swaps.
+above 10,000 cells, where numpy shuffles a tail of arange(n) instead, still
+call ``rng.choice`` once per tick: `_floyd` could resolve those draws too,
+but more slowly than the calls (see `_choice_draws`).
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class DemandState:
     s_nm: float = 0.0
 
     def __post_init__(self):
-        if self.d_mat <= 0 or self.d_nm <= 0:
+        if not (self.d_mat > 0 and self.d_nm > 0):
             raise ConfigurationError("demands must be positive")
 
 
@@ -76,7 +76,7 @@ def unit_benefit(demand, supply):
     Takes scalars or arrays, elementwise.
     """
     demand = np.asarray(demand, dtype=np.float64)
-    if np.any(demand <= 0):
+    if not np.all(demand > 0):
         raise ConfigurationError("demand must be positive")
     return np.maximum(0.0, (demand - supply) / demand)
 
@@ -128,7 +128,6 @@ class SimulationState:
     demand: DemandState
     rng: np.random.Generator
     tick: int = 0
-    economic_baseline: bool = False
     attitude_offsets: np.ndarray | None = None
 
     def __post_init__(self):
@@ -216,7 +215,9 @@ def _choice_draws(rngs: list[np.random.Generator], n: int, k: int, ticks: int) -
     draws on [0, i] for i from k - 1 down to 1. One ``rng.integers`` call with
     those bounds makes the same draws, so a generator draws all its ticks at
     once and `_floyd` resolves every generator's picks together. Otherwise
-    numpy shuffles part of arange(n), and each tick stays one call.
+    numpy shuffles a tail of arange(n) with draws on [0, j], j from n - 1
+    down to n - k, and picks the set `_floyd` picks from those draws
+    reversed; each tick still takes one call, which is faster (README).
     """
     if not k:
         return np.empty((len(rngs), ticks, 0), dtype=np.int64)
@@ -290,8 +291,6 @@ class Lockstep:
         self.params["logistic_k"] = _join_param(
             [s.behaviour_globals.logistic_k for s in self.states], self.n_cells
         )
-        economic = np.array([s.economic_baseline for s in self.states])
-        self.economic = economic if economic.any() else None
 
         self.lattices = list(dict.fromkeys(net.lattice for net in nets))
         self.lattice_of = np.array([self.lattices.index(net.lattice) for net in nets])
@@ -471,8 +470,6 @@ def tick(state: SimulationState | Lockstep) -> TickReport:
         params["norm_weight"], params["inertia_coeff"], clip_social(p - cm), a_eff, jump
     )
     git = _giving_in(params["git_upper"], params["logistic_k"], x)
-    if batch.economic is not None:
-        git = np.where(batch.economic[run_of], 0.0, git)
     admissible = np.flatnonzero(surplus > git)
 
     # The largest score wins; ties go to the smaller jump, then the lower id.
@@ -511,7 +508,7 @@ class StopRule:
     def __post_init__(self):
         if self.window < 1 or self.max_ticks < self.window:
             raise ConfigurationError("need max_ticks >= window >= 1")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ConfigurationError("epsilon must be positive")
 
     @property

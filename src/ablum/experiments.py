@@ -87,8 +87,9 @@ def run_capitals(config: ExperimentConfig, streams: SeedStreams) -> tuple[np.nda
 def _build_profiles(config: ExperimentConfig, n: int, seed_seq) -> tuple[BehaviouralProfile, np.ndarray]:
     """Draw per-cell behavioural parameters around the configured means.
 
-    Every field consumes the stream even at sigma 0, so turning heterogeneity
-    on or off for one parameter never shifts another parameter's draws.
+    Every field consumes the stream even at sigma 0, and an economic baseline
+    zeroes its giving-in ceiling only after drawing it, so turning either on
+    or off never shifts another parameter's draws.
     """
     rng = np.random.default_rng(seed_seq)
 
@@ -112,6 +113,8 @@ def _build_profiles(config: ExperimentConfig, n: int, seed_seq) -> tuple[Behavio
         cm_ext=spread(config.cm_ext, config.cm_ext_sigma, draws(), 0.0, 1.0),
         git_upper=spread(config.git_upper_L, config.git_upper_sigma, draws(), 0.0, 1.0),
     )
+    if config.economic_baseline:
+        profile.git_upper = 0.0
     return profile, attitude_offsets
 
 
@@ -134,7 +137,6 @@ def build_state(config: ExperimentConfig, key: tuple[int, ...] | None = None) ->
         behaviour_globals=BehaviourGlobals(config.logistic_k),
         demand=DemandState(config.demand_mat, config.demand_nm),
         rng=np.random.default_rng(streams.sim),
-        economic_baseline=config.economic_baseline,
         attitude_offsets=attitude_offsets,
     )
 

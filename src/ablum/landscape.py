@@ -99,7 +99,7 @@ class LandscapeGrid:
                 raise ConfigurationError(f"{name} must have shape ({n},)")
         for name in ("c_prod", "c_nat"):
             arr = getattr(self, name)
-            if np.any(arr < 0.0) or np.any(arr > 1.0):
+            if not np.all((arr >= 0.0) & (arr <= 1.0)):
                 raise ConfigurationError(f"{name} values must lie in [0, 1]")
         if np.any(self.aft_id < 0) or np.any(self.aft_id >= len(DEFAULT_AFTS)):
             raise ConfigurationError("aft_id must reference a configured type")

@@ -48,11 +48,11 @@ _PROFILE_RANGES = {
 
 class TestProfileRanges:
     @pytest.mark.parametrize("name", _PROFILE_RANGES)
-    @pytest.mark.parametrize("side", ["below", "above"])
+    @pytest.mark.parametrize("side", ["below", "above", "nan"])
     @pytest.mark.parametrize("shape", ["scalar", "array"])
     def test_out_of_range_rejected(self, name, side, shape):
         lo, hi = _PROFILE_RANGES[name]
-        bad = lo - 0.1 if side == "below" else hi + 0.1
+        bad = {"below": lo - 0.1, "above": hi + 0.1, "nan": np.nan}[side]
         value = bad if shape == "scalar" else np.array([0.5 * (lo + hi), bad])
         with pytest.raises(ConfigurationError) as info:
             profile(**{name: value})
@@ -188,6 +188,11 @@ class TestGivingInThreshold:
         assert giving_in_threshold(profile(), g, 1.0) > 0.0
         assert math.isfinite(giving_in_threshold(profile(), g, -2.0))
         assert giving_in_threshold(profile(), g, -2.0) <= 1.0
+
+    @pytest.mark.parametrize("k", [0.0, -1.0, np.nan])
+    def test_non_positive_or_nan_steepness_rejected(self, k):
+        with pytest.raises(ConfigurationError, match="logistic_k must be positive"):
+            BehaviourGlobals(k)
 
     def test_inertia_ordering(self):
         # with lambda > 0, a double jump faces a strictly higher threshold

@@ -83,6 +83,11 @@ class TestConfigErrors:
         bad.write_text("[behaviour]\nnorm_weight_w = 1.5\n")
         assert entry("run", "--config", bad, "--out", tmp_path / "out") == 1
 
+    def test_negative_seed_names_the_key(self, small_cfg, tmp_path, capsys):
+        assert entry("run", "--config", small_cfg, "--seed", "-1", "--out", tmp_path / "o") == 1
+        assert "'seed'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_reps(self, small_cfg, tmp_path):
         assert entry("run", "--config", small_cfg, "--reps", "0", "--out", tmp_path / "o") == 1
 

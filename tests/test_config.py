@@ -145,6 +145,7 @@ class TestValidation:
             "[network]\nmoore_radius = 101\n",
             "[demand]\ndemand_mat = -5\n",
             "[capitals]\nnoise_amp = 0.5\n",
+            "[run]\nseed = -1\n",
         ]
         for text in bad:
             with pytest.raises(ConfigurationError):

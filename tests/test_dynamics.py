@@ -7,7 +7,7 @@ behaviour API, so the engine is always checked against an independent route.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ablum import (
@@ -33,7 +33,7 @@ from ablum import (
     unit_benefit,
     utility,
 )
-from ablum.dynamics import DRAW_AHEAD, Lockstep, StopRule, _choice_draws, run_lockstep
+from ablum.dynamics import DRAW_AHEAD, Lockstep, StopRule, _choice_draws, _floyd, run_lockstep
 
 
 def make_state(
@@ -62,7 +62,7 @@ def make_state(
         norm_weight=norm_weight,
         cm_int=cm,
         cm_ext=cm,
-        git_upper=git_upper,
+        git_upper=0.0 if economic_baseline else git_upper,
     )
     grid = LandscapeGrid(width, height, c_prod, c_nat, aft_id, profiles=profiles)
     return SimulationState(
@@ -71,7 +71,6 @@ def make_state(
         behaviour_globals=BehaviourGlobals(logistic_k),
         demand=DemandState(d_mat, d_nm),
         rng=np.random.default_rng(seed),
-        economic_baseline=economic_baseline,
     )
 
 
@@ -89,6 +88,16 @@ class TestUnitBenefit:
     def test_zero_demand_rejected(self):
         with pytest.raises(ConfigurationError):
             unit_benefit(0.0, 10.0)
+
+    @pytest.mark.parametrize("demand", [np.nan, np.array([4000.0, np.nan])])
+    def test_nan_demand_rejected(self, demand):
+        with pytest.raises(ConfigurationError, match="demand must be positive"):
+            unit_benefit(demand, 10.0)
+
+    @pytest.mark.parametrize("demands", [(np.nan, 1.0), (1.0, np.nan), (0.0, 1.0), (1.0, -2.0)])
+    def test_demand_state_rejects_non_positive_or_nan(self, demands):
+        with pytest.raises(ConfigurationError, match="demands must be positive"):
+            DemandState(*demands)
 
     @given(st.floats(1e-6, 1e6), st.floats(0.0, 1e6))
     def test_range(self, d, s):
@@ -153,6 +162,14 @@ class CountingGenerator:
         return getattr(self.rng, name)
 
 
+@st.composite
+def tail_shuffle_sizes(draw):
+    """(n, k) for which ``rng.choice(n, size=(k,), replace=False)`` shuffles
+    the tail of arange(n): n above 10,000 and k above n // 50."""
+    n = draw(st.integers(10_001, 50_000))
+    return n, draw(st.integers(n // 50 + 1, n // 10))
+
+
 class TestSelectionDraws:
     """Runs draw their cells ahead by making the draws ``rng.choice(n,
     size=(k,), replace=False)`` makes one tick at a time. These tests pin how
@@ -177,6 +194,19 @@ class TestSelectionDraws:
             assert got.shape == (ticks, k), shifted
             assert np.array_equal(np.sort(got, axis=1), want), shifted
             assert buffered.bit_generator.state == stepped.bit_generator.state, shifted
+
+    @settings(max_examples=30, deadline=None)
+    @given(tail_shuffle_sizes(), st.integers(0, 2**32 - 1))
+    @example((40_000, 3999), 1)  # _floyd takes one of these picks after a two-step chase
+    def test_tail_shuffle_picks_what_floyd_picks_from_reversed_draws(self, size, seed):
+        # above 10,000 cells numpy shuffles the tail of arange(n); the draws
+        # it makes, reversed, are Floyd's, and so are the cells it picks
+        n, k = size
+        shuffled, drawn = np.random.default_rng(seed), np.random.default_rng(seed)
+        picks = shuffled.choice(n, size=(k,), replace=False)
+        draws = drawn.integers(0, np.arange(n, n - k, -1))[::-1]
+        assert np.array_equal(np.sort(_floyd(draws[None], n)[0]), np.sort(picks))
+        assert shuffled.bit_generator.state == drawn.bit_generator.state
 
     def test_generators_are_resolved_together(self):
         rngs = [np.random.default_rng(seed) for seed in range(5)]
@@ -268,13 +298,7 @@ def snapshot_replay(state):
         for cand in DEFAULT_AFTS:
             if cand.id == incumbent.id:
                 continue
-            git = (
-                0.0
-                if state.economic_baseline
-                else evaluate_transition(
-                    snap_grid, state.network, int(i), cand, state.behaviour_globals
-                )
-            )
+            git = evaluate_transition(snap_grid, state.network, int(i), cand, state.behaviour_globals)
             surplus = utility(cand, cell, demand) - u_inc
             if surplus <= git:
                 continue
@@ -434,6 +458,11 @@ class TestRunUntilStable:
     def test_bad_window_rejected(self):
         with pytest.raises(ConfigurationError):
             run_until_stable(make_state(), max_ticks=10, window=20, epsilon=0.1)
+
+    @pytest.mark.parametrize("epsilon", [0.0, np.nan])
+    def test_non_positive_or_nan_epsilon_rejected(self, epsilon):
+        with pytest.raises(ConfigurationError, match="epsilon must be positive"):
+            StopRule(epsilon=epsilon)
 
     def test_trajectory_matches_final_state(self):
         state = make_state(seed=9)

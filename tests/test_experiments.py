@@ -4,13 +4,14 @@ Most tests use a 9x9 grid with a short stopping window so full runs stay in
 the millisecond range.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from ablum import (
     OUTPUT_METRICS,
+    BehaviouralProfile,
     ConfigurationError,
     DegenerateVarianceError,
     ExperimentConfig,
@@ -70,6 +71,24 @@ class TestBuildState:
         )
         assert isinstance(plain.grid.profiles.norm_weight, float)
         assert isinstance(spread.grid.profiles.norm_weight, np.ndarray)
+
+    def test_economic_baseline_zeroes_only_the_ceiling(self):
+        # the ceiling is drawn and then set to 0, so no other draw moves
+        cfg = small_config(git_upper_sigma=0.2, norm_weight_sigma=0.1, cm_ext_sigma=0.1, n_tele=4)
+        plain = build_state(cfg)
+        economic = build_state(replace(cfg, economic_baseline=True))
+        assert isinstance(plain.grid.profiles.git_upper, np.ndarray)
+        assert np.all(economic.grid.profiles.git_upper == 0.0)
+        for field in fields(BehaviouralProfile):
+            if field.name != "git_upper":
+                got = getattr(economic.grid.profiles, field.name)
+                assert np.array_equal(got, getattr(plain.grid.profiles, field.name)), field.name
+        assert np.array_equal(economic.attitude_offsets, plain.attitude_offsets)
+        for name in ("c_prod", "c_nat", "aft_id"):
+            assert np.array_equal(getattr(economic.grid, name), getattr(plain.grid, name)), name
+        assert economic.network.lattice == plain.network.lattice
+        assert np.array_equal(economic.network.tele, plain.network.tele)
+        assert economic.rng.bit_generator.state == plain.rng.bit_generator.state
 
     def test_scalar_fields_stay_scalar(self):
         state = build_state(small_config())

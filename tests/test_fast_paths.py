@@ -71,8 +71,6 @@ def dense_scores(batch: Lockstep, sel: np.ndarray) -> tuple[np.ndarray, np.ndarr
         params["norm_weight"], params["inertia_coeff"], clip_social(p - cm), a_eff, jump
     )
     git = _giving_in(params["git_upper"], params["logistic_k"], x)
-    if batch.economic is not None:
-        git = np.where(batch.economic[run_of], 0.0, git)
     surplus = utilities - u_inc
     admissible = (np.arange(3)[:, None] != inc) & (surplus > git)
     return np.where(admissible, surplus - git, -np.inf), jump

@@ -186,6 +186,12 @@ class TestLandscapeGrid:
         with pytest.raises(ConfigurationError):
             LandscapeGrid(3, 3, np.full(9, 1.5), np.zeros(9), np.zeros(9, dtype=np.int64))
 
+    def test_nan_capital_rejected(self):
+        capital = np.zeros(9)
+        capital[4] = np.nan
+        with pytest.raises(ConfigurationError, match=r"c_nat values must lie in \[0, 1\]"):
+            LandscapeGrid(3, 3, np.zeros(9), capital, np.zeros(9, dtype=np.int64))
+
     def test_unknown_aft_id_rejected(self):
         with pytest.raises(ConfigurationError):
             LandscapeGrid(3, 3, np.zeros(9), np.zeros(9), np.full(9, 7, dtype=np.int64))

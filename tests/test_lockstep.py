@@ -164,9 +164,7 @@ def scalar_decisions(state, old_aft, selected):
         for cand in DEFAULT_AFTS:
             if cand.id == incumbent.id:
                 continue
-            git = 0.0 if state.economic_baseline else evaluate_transition(
-                grid, state.network, i, cand, state.behaviour_globals
-            )
+            git = evaluate_transition(grid, state.network, i, cand, state.behaviour_globals)
             surplus = utility(cand, cell, demand) - utility(incumbent, cell, demand)
             if surplus > git:
                 key = (-(surplus - git), abs(cand.intensity - incumbent.intensity), cand.id)

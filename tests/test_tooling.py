@@ -8,7 +8,8 @@ on other pairs than the ones whose surplus is positive. The README
 tests catch a quick-start command or a named file that no longer exists, a
 flag table that no longer lists exactly the flags each command takes, a
 sweepable-key list, a batch budget or a draw-ahead span that no longer
-matches the code's.
+matches the code's, or a package layout that does not list exactly the
+package's modules.
 """
 
 import argparse
@@ -37,6 +38,7 @@ BENCH_DIR = REPO / "perfbench"
 README = (REPO / "README.md").read_text()
 QUICK_START = README.split("## Quick start", 1)[1].split("\n## ", 1)[0]
 PERFORMANCE = README.split("## Performance", 1)[1].split("\n## ", 1)[0]
+LAYOUT = README.split("## Package layout", 1)[1].split("\n## ", 1)[0]
 
 
 def test_every_traced_attribute_exists(monkeypatch):
@@ -123,3 +125,12 @@ def test_readme_cell_budget_matches_the_code():
 def test_readme_draw_ahead_matches_the_code():
     (ticks,) = re.findall(r"for\s+up\s+to\s+(\d+)\s+ticks", PERFORMANCE)
     assert int(ticks) == dynamics.DRAW_AHEAD
+
+
+def test_readme_package_layout_lists_every_module():
+    (block,) = re.findall(r"```\nsrc/ablum/\n(.*?)```", LAYOUT, re.S)
+    listed = sorted(re.findall(r"^  (\w+\.py) ", block, re.M))
+    modules = sorted(
+        p.name for p in (REPO / "src" / "ablum").glob("*.py") if p.stem not in ("__init__", "__main__")
+    )
+    assert listed == modules
