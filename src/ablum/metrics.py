@@ -6,13 +6,9 @@ from dataclasses import Field, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ConfigurationError
 from .landscape import DEFAULT_AFTS, S_NAT, S_PROD, LandscapeGrid
-
-_STRUCTURE_4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
-_STRUCTURE_8 = np.ones((3, 3), dtype=bool)
 
 
 def integer_column():
@@ -87,20 +83,43 @@ def total_supply(grid: LandscapeGrid) -> tuple[float, float]:
 
 
 def patch_decomposition(grid: LandscapeGrid, connectivity: int = 4) -> dict[int, tuple[int, ...]]:
-    """Cell counts of the connected patches of each intensity class."""
+    """Cell counts of the connected patches of each intensity class, in
+    row-major order of each patch's first cell (ndimage.label's order).
+
+    A union-find over the row runs, numbered in row-major order: same-class
+    edges between rows hook the larger root onto the smaller, and pointer
+    jumping flattens the roots, until every edge joins one root. A patch's
+    root is then its first run, which starts at the patch's first cell.
+    """
     if connectivity not in (4, 8):
         raise ConfigurationError("connectivity must be 4 or 8")
-    structure = _STRUCTURE_4 if connectivity == 4 else _STRUCTURE_8
-    field = grid.aft_id.reshape(grid.height, grid.width)
-    areas: dict[int, tuple[int, ...]] = {}
-    for c in range(len(DEFAULT_AFTS)):
-        labels, n_patches = ndimage.label(field == c, structure=structure)
-        if n_patches == 0:
-            areas[c] = ()
-            continue
-        sizes = np.bincount(labels.ravel())[1:]  # label 0 is background
-        areas[c] = tuple(int(s) for s in sizes)
-    return areas
+    ids, w = grid.aft_id, grid.width
+    field = ids.reshape(grid.height, w)
+    run_start = np.ones(ids.size, dtype=bool)
+    run_start[1:] = ids[1:] != ids[:-1]
+    run_start[::w] = True
+    run = (np.cumsum(run_start) - 1).reshape(field.shape)
+
+    edges = [(field[:-1] == field[1:], run[:-1], run[1:])]  # straight down
+    if connectivity == 8:
+        edges += [
+            (field[:-1, :-1] == field[1:, 1:], run[:-1, :-1], run[1:, 1:]),
+            (field[:-1, 1:] == field[1:, :-1], run[:-1, 1:], run[1:, :-1]),
+        ]
+    a = np.concatenate([upper[same] for same, upper, _ in edges])
+    b = np.concatenate([lower[same] for same, _, lower in edges])
+    root = np.arange(run[-1, -1] + 1)
+    while (split := root[a] != root[b]).any():
+        a, b = a[split], b[split]
+        ra, rb = root[a], root[b]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(root, jumped := root[root]):
+            root = jumped
+
+    sizes = np.bincount(root[run.ravel()])
+    first = np.flatnonzero(sizes)
+    sizes, classes = sizes[first], ids[run_start][first]
+    return {c: tuple(sizes[classes == c].tolist()) for c in range(len(DEFAULT_AFTS))}
 
 
 def mesh_connectivity(grid: LandscapeGrid, connectivity: int = 4) -> float:

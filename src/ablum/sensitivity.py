@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 from .config import ExperimentConfig, apply_values, round_half_up
 from .errors import ConfigurationError, DegenerateVarianceError
@@ -115,10 +114,13 @@ def saltelli_sample(
     """Saltelli design with n_base * (2d + 2) rows (d + 2 without 2nd order).
 
     A scrambled Sobol' sequence provides the base points; powers of two for
-    n_base preserve its balance properties.
+    n_base preserve its balance properties. scipy.stats is imported here, on
+    first use, so that importing ablum loads numpy only.
     """
     if n_base < 1:
         raise ConfigurationError("n_base must be positive")
+    from scipy.stats import qmc
+
     d = space.d
     sobol = qmc.Sobol(d=2 * d, scramble=True, seed=np.random.default_rng(seed))
     unit = sobol.random(n_base)

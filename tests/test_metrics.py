@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from ablum import (
     LandscapeGrid,
@@ -31,8 +32,9 @@ def make_grid(ids, width, height):
     )
 
 
-def bfs_patch_areas(ids, width, height, connectivity=4):
-    """Reference patch decomposition by flood fill."""
+def bfs_patch_areas_in_order(ids, width, height, connectivity=4):
+    """Reference patch decomposition by flood fill; each class's areas in
+    row-major order of the patch's first cell."""
     if connectivity == 4:
         steps = [(1, 0), (-1, 0), (0, 1), (0, -1)]
     else:
@@ -58,7 +60,39 @@ def bfs_patch_areas(ids, width, height, connectivity=4):
                         seen[j] = True
                         queue.append(j)
         areas.setdefault(int(cls), []).append(area)
-    return {c: sorted(a) for c, a in areas.items()}
+    return areas
+
+
+def bfs_patch_areas(ids, width, height, connectivity=4):
+    """Reference patch decomposition by flood fill, each class's areas sorted."""
+    ordered = bfs_patch_areas_in_order(ids, width, height, connectivity)
+    return {c: sorted(a) for c, a in ordered.items()}
+
+
+def spiral(n):
+    """n x n field (n odd) of a one-cell-wide class-1 wall winding inwards
+    from the top-left corner, with a one-cell-wide class-0 corridor between
+    its turns."""
+    field = np.zeros((n, n), dtype=np.int64)
+    r = c = 0
+    field[0, 0] = 1
+    lengths = [n - 1] + [n - 1 - 2 * (k // 2) for k in range(n - 1)]
+    for turn, length in enumerate(lengths):
+        dr, dc = [(0, 1), (1, 0), (0, -1), (-1, 0)][turn % 4]
+        for _ in range(length):
+            r, c = r + dr, c + dc
+            field[r, c] = 1
+    return field
+
+
+def serpentine(n):
+    """n x n field (n odd): class-1 rows joined at alternating ends, so one
+    class-1 patch winds through class-0 bars."""
+    field = np.zeros((n, n), dtype=np.int64)
+    field[::2] = 1
+    field[1::4, -1] = 1
+    field[3::4, 0] = 1
+    return field
 
 
 class TestIntensityShares:
@@ -161,6 +195,67 @@ class TestMesh:
         assert mesh_connectivity(make_grid([2] * 12, 4, 3)) == pytest.approx(12.0)
         almost = [2] * 11 + [0]
         assert mesh_connectivity(make_grid(almost, 4, 3)) < 12.0
+
+
+class TestPatchLabelling:
+    """Exact areas and patch order against the ordered flood fill."""
+
+    @staticmethod
+    def decompose(field, connectivity):
+        height, width = field.shape
+        got = patch_decomposition(make_grid(field.ravel(), width, height), connectivity)
+        assert set(got) == {0, 1, 2}
+        return {c: list(a) for c, a in got.items() if a}
+
+    @given(
+        arrays(
+            np.int64,
+            array_shapes(min_dims=2, max_dims=2, max_side=30),
+            elements=st.integers(0, 2),
+            fill=st.nothing(),  # draw every cell, not mostly one fill value
+        ),
+        st.sampled_from([4, 8]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_ordered_bfs(self, field, conn):
+        height, width = field.shape
+        expected = bfs_patch_areas_in_order(field.ravel().tolist(), width, height, conn)
+        assert self.decompose(field, conn) == expected
+
+    @pytest.mark.parametrize("conn", [4, 8])
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_serpentine_is_one_patch(self, conn, transpose):
+        field = serpentine(101)
+        field = field.T.copy() if transpose else field
+        assert self.decompose(field, conn) == {0: [100] * 50, 1: [101 * 51 + 50]}
+
+    @pytest.mark.parametrize("conn", [4, 8])
+    def test_spiral(self, conn):
+        field = spiral(41)
+        got = self.decompose(field, conn)
+        assert got == bfs_patch_areas_in_order(field.ravel().tolist(), 41, 41, conn)
+        assert len(got[0]) == len(got[1]) == 1
+
+    @pytest.mark.parametrize("conn", [4, 8])
+    def test_single_row_and_column(self, conn):
+        ids = np.array([0, 0, 1, 1, 1, 0, 2, 2, 0, 1])
+        expected = {0: [2, 1, 1], 1: [3, 1], 2: [2]}
+        assert self.decompose(ids.reshape(1, -1), conn) == expected
+        assert self.decompose(ids.reshape(-1, 1), conn) == expected
+
+    @pytest.mark.parametrize("conn", [4, 8])
+    def test_patch_order_follows_first_cell(self, conn):
+        # the first class-0 patch starts at cell 0 but ends after the second
+        field = np.array([[0, 1, 0], [0, 1, 1], [0, 0, 0]])
+        assert self.decompose(field, conn) == {0: [5, 1], 1: [3]}
+
+    @pytest.mark.parametrize("shape", [(5, 6), (2, 12)])
+    def test_checkerboard(self, shape):
+        # two rows make each colour one diagonal chain, whose roots need several jumps a round
+        field = np.indices(shape).sum(axis=0) % 2
+        half = field.size // 2
+        assert self.decompose(field, 4) == {0: [1] * half, 1: [1] * half}
+        assert self.decompose(field, 8) == {0: [half], 1: [half]}
 
 
 class TestTrajectorySummary:

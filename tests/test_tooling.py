@@ -9,11 +9,15 @@ tests catch a quick-start command or a named file that no longer exists, a
 flag table that no longer lists exactly the flags each command takes, a
 sweepable-key list, a batch budget or a draw-ahead span that no longer
 matches the code's, or a package layout that does not list exactly the
-package's modules.
+package's modules. The import guard fails if importing ablum or running
+`ablum run` loads scipy, which only a Saltelli design needs.
 """
 
 import argparse
+import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -134,3 +138,32 @@ def test_readme_package_layout_lists_every_module():
         p.name for p in (REPO / "src" / "ablum").glob("*.py") if p.stem not in ("__init__", "__main__")
     )
     assert listed == modules
+
+
+IMPORT_PROBE = """
+import json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+import ablum, ablum.cli
+seen = {"import": scipy_modules()}
+code = ablum.cli.cli_entry(["run", "--config", sys.argv[1], "--out", sys.argv[2]])
+seen["run"] = scipy_modules() if code == 0 else [f"exit {code}"]
+space = ablum.ParameterSpace((ablum.ParameterDim("attitude_mean", -1.0, 1.0),))
+ablum.saltelli_sample(space, 4)
+seen["saltelli"] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_loads_only_for_a_saltelli_design(tmp_path):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("[grid]\nwidth = 9\nheight = 9\n[stopping]\nmax_ticks = 40\nwindow = 5\n")
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, str(cfg), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["import"] == []
+    assert seen["run"] == []
+    assert "scipy.stats.qmc" in seen["saltelli"]
