@@ -1,12 +1,21 @@
 """Variance-based global sensitivity analysis on the model's parameters.
 
-Builds Saltelli cross-sampling designs from a scrambled low-discrepancy base
-sequence and estimates first-order, total-effect, and optional second-order
-Sobol indices with bootstrap confidence half-widths.
+Builds Saltelli cross-sampling designs from a scrambled Sobol' base sequence
+and estimates first-order, total-effect, and optional second-order Sobol
+indices with bootstrap confidence half-widths.
+
+The base sequence is a numpy Sobol' sampler: Joe & Kuo's direction numbers
+(new-joe-kuo-6.21201, S. Joe and F. Y. Kuo, SIAM J. Sci. Comput. 30:2635,
+2008) for the first 32 dimensions, 30 bits, and Matousek's LMS+shift scramble
+(a random lower-triangular binary matrix and a random digital shift per
+dimension). It gives the same bits as scipy.stats.qmc.Sobol(scramble=True),
+which the tests check. A design draws two columns per parameter, so it takes
+at most 16 parameters.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -17,6 +26,28 @@ from .errors import ConfigurationError, DegenerateVarianceError
 
 _KINDS = ("continuous", "integer")
 N_BOOT = 100  # bootstrap resamples behind each confidence half-width
+
+# Joe-Kuo dimensions 2-32: (primitive polynomial, leading and constant terms
+# included, so its degree is bit_length - 1; initial direction integers m).
+# Every direction number of dimension 1 is 1.
+_JOE_KUO = (
+    (3, (1,)), (7, (1, 3)), (11, (1, 3, 1)), (13, (1, 1, 1)),
+    (19, (1, 1, 3, 3)), (25, (1, 3, 5, 13)),
+    (37, (1, 1, 5, 5, 17)), (41, (1, 1, 5, 5, 5)), (47, (1, 1, 7, 11, 19)),
+    (55, (1, 1, 5, 1, 1)), (59, (1, 1, 1, 3, 11)), (61, (1, 3, 5, 5, 31)),
+    (67, (1, 3, 3, 9, 7, 49)), (91, (1, 1, 1, 15, 21, 21)),
+    (97, (1, 3, 1, 13, 27, 49)), (103, (1, 1, 1, 15, 7, 5)),
+    (109, (1, 3, 1, 15, 13, 25)), (115, (1, 1, 5, 5, 19, 61)),
+    (131, (1, 3, 7, 11, 23, 15, 103)), (137, (1, 3, 7, 13, 13, 15, 69)),
+    (143, (1, 1, 3, 13, 7, 35, 63)), (145, (1, 3, 5, 9, 1, 25, 53)),
+    (157, (1, 3, 1, 13, 9, 35, 107)), (167, (1, 3, 1, 5, 27, 61, 31)),
+    (171, (1, 1, 5, 11, 19, 41, 61)), (185, (1, 3, 5, 3, 3, 13, 69)),
+    (191, (1, 1, 7, 13, 1, 19, 1)), (193, (1, 3, 7, 5, 13, 19, 59)),
+    (203, (1, 1, 3, 9, 25, 29, 41)), (211, (1, 3, 5, 13, 23, 1, 55)),
+    (213, (1, 3, 7, 3, 13, 59, 17)), (229, (1, 3, 1, 3, 5, 53, 69)),
+)
+_SOBOL_DIMS = 1 + len(_JOE_KUO)
+_BITS = 30  # bits per coordinate; a sequence has at most 2**30 points
 
 
 @dataclass(frozen=True)
@@ -105,6 +136,50 @@ class SaltelliDesign:
         return f_a, f_b, f_ab, f_ba
 
 
+def _direction_numbers(dims: int) -> np.ndarray:
+    """(dims, 30) uint32 direction numbers, column j scaled by 2**(29 - j)."""
+    v = np.ones((dims, _BITS), dtype=np.uint32)
+    for row, (poly, m_init) in zip(v[1:], _JOE_KUO):
+        s = len(m_init)
+        m = list(m_init)
+        for j in range(s, _BITS):  # Bratley & Fox's recurrence
+            new = m[j - s]
+            for k in range(1, s + 1):
+                if poly >> (s - k) & 1:
+                    new ^= m[j - k] << k
+            m.append(new)
+        row[:] = m
+    return v << np.arange(_BITS - 1, -1, -1, dtype=np.uint32)
+
+
+def _scrambled_sobol(dims: int, n: int, seed: np.random.SeedSequence) -> np.ndarray:
+    """The first n points of a (dims)-dimensional LMS+shift scrambled Sobol'
+    sequence: the bits of qmc.Sobol(dims, scramble=True,
+    seed=np.random.default_rng(seed)).random(n), without spawning from seed.
+    """
+    # qmc.Sobol draws from a child of the generator's seed sequence.
+    child = np.random.SeedSequence(
+        seed.entropy,
+        spawn_key=seed.spawn_key + (seed.n_children_spawned,),
+        pool_size=seed.pool_size,
+    )
+    rng = np.random.Generator(np.random.PCG64(child))
+    weights = np.uint32(1) << np.arange(_BITS, dtype=np.uint32)
+    shift = rng.integers(2, size=(dims, _BITS), dtype=np.uint32) @ weights
+    ltm = np.tril(rng.integers(2, size=(dims, _BITS, _BITS), dtype=np.uint32))
+    ltm[:, range(_BITS), range(_BITS)] = 1
+    # LMS: row p of ltm gives bit 29 - p of each scrambled direction number,
+    # as the GF(2) product with that number's bits, most significant first.
+    msb_first = weights[::-1]
+    bits = ((_direction_numbers(dims)[:, :, None] & msb_first) != 0).astype(np.uint32)
+    v = (bits @ ltm.transpose(0, 2, 1) & 1) @ msb_first
+    # Gray-code order: point i + 1 flips the direction column of i's lowest zero bit.
+    i = np.arange(n - 1)
+    low_zero = np.frexp(~i & (i + 1))[1] - 1
+    points = np.bitwise_xor.accumulate(v[:, low_zero].T, axis=0) ^ shift
+    return np.vstack([shift, points]) * 2.0**-_BITS
+
+
 def saltelli_sample(
     space: ParameterSpace,
     n_base: int,
@@ -113,17 +188,27 @@ def saltelli_sample(
 ) -> SaltelliDesign:
     """Saltelli design with n_base * (2d + 2) rows (d + 2 without 2nd order).
 
-    A scrambled Sobol' sequence provides the base points; powers of two for
-    n_base preserve its balance properties. scipy.stats is imported here, on
-    first use, so that importing ablum loads numpy only.
+    The base points are an LMS+shift scrambled Sobol' sequence over Joe-Kuo
+    direction numbers in 2d dimensions, so a space takes at most 16
+    parameters and n_base at most 2**30. Powers of two for n_base preserve
+    the sequence's balance properties; other sizes warn. A SeedSequence seed
+    is read, not spawned from, so the same one gives the same design again.
     """
-    if n_base < 1:
-        raise ConfigurationError("n_base must be positive")
-    from scipy.stats import qmc
-
+    if not 1 <= n_base <= 2**_BITS:
+        raise ConfigurationError(f"n_base must be between 1 and 2**{_BITS}")
     d = space.d
-    sobol = qmc.Sobol(d=2 * d, scramble=True, seed=np.random.default_rng(seed))
-    unit = sobol.random(n_base)
+    if 2 * d > _SOBOL_DIMS:
+        raise ConfigurationError(
+            f"a Saltelli design takes at most {_SOBOL_DIMS // 2} parameters, got {d}"
+        )
+    if n_base & (n_base - 1):
+        warnings.warn(
+            "The balance properties of Sobol' points require n to be a power of 2.",
+            stacklevel=2,
+        )
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    unit = _scrambled_sobol(2 * d, n_base, seed)
     lower = np.array([dim.lower for dim in space.dims])
     upper = np.array([dim.upper for dim in space.dims])
     a = lower + unit[:, :d] * (upper - lower)

@@ -3,14 +3,18 @@
 The estimator tests use the Ishigami function because every variance
 component has a closed form; the oracle values below are derived from those
 forms and frozen, so the estimator is checked against an independent route.
+The numpy Sobol' sampler behind the designs is checked bit for bit against
+scipy.stats.qmc.Sobol, which the package itself never imports.
 """
 
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
 from ablum import (
     ConfigurationError,
@@ -26,6 +30,7 @@ from ablum import (
     saltelli_sample,
     sobol_indices,
 )
+from ablum.sensitivity import _scrambled_sobol
 
 # Ishigami function f = sin x1 + a sin^2 x2 + b x3^4 sin x1 on U(-pi, pi)^3
 # with a=7, b=0.1.  Closed-form variance decomposition:
@@ -250,6 +255,63 @@ class TestSaltelliSample:
         assert design.base_index(8) == 0
         assert design.base_index(13) == 5
         assert design.base_index(design.n_rows - 1) == 7
+
+
+def copy_seed(seq):
+    """A fresh SeedSequence equal to seq, for an oracle that spawns from it."""
+    return np.random.SeedSequence(
+        seq.entropy, spawn_key=seq.spawn_key, n_children_spawned=seq.n_children_spawned
+    )
+
+
+def space_of(d):
+    return ParameterSpace(tuple(ParameterDim(f"x{i}", 0.0, 1.0) for i in range(d)))
+
+
+class TestSobolSampler:
+    SEEDS = (
+        0,
+        3,
+        np.random.SeedSequence(11, spawn_key=(3,)),
+        np.random.SeedSequence(5, spawn_key=(1, 2), n_children_spawned=2),
+    )
+
+    @pytest.mark.parametrize("dims", range(1, 33))
+    def test_bits_equal_scipy(self, dims):
+        for n in (1, 2, 3, 8, 1024):
+            for seed in self.SEEDS:
+                seq = np.random.SeedSequence(seed) if isinstance(seed, int) else seed
+                oracle_seed = seed if isinstance(seed, int) else copy_seed(seed)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    sobol = qmc.Sobol(d=dims, scramble=True, seed=np.random.default_rng(oracle_seed))
+                    expected = sobol.random(n)
+                got = _scrambled_sobol(dims, n, seq)
+                assert got.tobytes() == expected.tobytes(), (dims, n, seed)
+
+    def test_seed_sequence_is_not_spawned_from(self):
+        seq = np.random.SeedSequence(5)
+        first = saltelli_sample(ishigami_space(), 8, seed=seq)
+        second = saltelli_sample(ishigami_space(), 8, seed=seq)
+        assert seq.n_children_spawned == 0
+        assert np.array_equal(first.matrix, second.matrix)
+        assert np.array_equal(first.matrix, saltelli_sample(ishigami_space(), 8, seed=5).matrix)
+
+    def test_sixteen_parameters_at_most(self):
+        assert saltelli_sample(space_of(16), 2).matrix.shape == (2 * 18, 16)
+        with pytest.raises(ConfigurationError, match="^a Saltelli design takes at most 16 parameters, got 17$"):
+            saltelli_sample(space_of(17), 2)
+
+    def test_non_power_of_two_warns(self):
+        with pytest.warns(UserWarning, match="balance properties of Sobol' points"):
+            saltelli_sample(ishigami_space(), 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            saltelli_sample(ishigami_space(), 8)
+
+    def test_more_points_than_the_sequence_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"^n_base must be between 1 and 2\*\*30$"):
+            saltelli_sample(ishigami_space(), 2**30 + 1)
 
 
 class TestSobolIndices:

@@ -9,11 +9,15 @@ tests catch a quick-start command or a named file that no longer exists, a
 flag table that no longer lists exactly the flags each command takes, a
 sweepable-key list, a batch budget or a draw-ahead span that no longer
 matches the code's, or a package layout that does not list exactly the
-package's modules. The import guard fails if importing ablum or running
-`ablum run` loads scipy, which only a Saltelli design needs.
+package's modules. The import guard fails if importing ablum, running
+`ablum run`, building a Saltelli design or running a Sobol campaign loads
+scipy, which ablum does not depend on; the dependency guard fails if the
+package imports a third-party module that pyproject.toml does not declare
+as a runtime dependency, or declares one it does not import.
 """
 
 import argparse
+import ast
 import json
 import os
 import re
@@ -151,11 +155,13 @@ seen["run"] = scipy_modules() if code == 0 else [f"exit {code}"]
 space = ablum.ParameterSpace((ablum.ParameterDim("attitude_mean", -1.0, 1.0),))
 ablum.saltelli_sample(space, 4)
 seen["saltelli"] = scipy_modules()
+ablum.run_sobol(ablum.load_config(sys.argv[1]), 4, space=space)
+seen["run_sobol"] = scipy_modules()
 print(json.dumps(seen))
 """
 
 
-def test_scipy_loads_only_for_a_saltelli_design(tmp_path):
+def test_no_ablum_path_loads_scipy(tmp_path):
     cfg = tmp_path / "small.cfg"
     cfg.write_text("[grid]\nwidth = 9\nheight = 9\n[stopping]\nmax_ticks = 40\nwindow = 5\n")
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
@@ -164,6 +170,20 @@ def test_scipy_loads_only_for_a_saltelli_design(tmp_path):
         capture_output=True, text=True, env=env, check=True,
     )
     seen = json.loads(proc.stdout.splitlines()[-1])
-    assert seen["import"] == []
-    assert seen["run"] == []
-    assert "scipy.stats.qmc" in seen["saltelli"]
+    assert seen == {"import": [], "run": [], "saltelli": [], "run_sobol": []}
+
+
+def test_runtime_dependencies_are_the_third_party_imports():
+    tomllib = pytest.importorskip("tomllib")
+    declared = {
+        re.match(r"[A-Za-z0-9_.-]+", dep).group()
+        for dep in tomllib.loads((REPO / "pyproject.toml").read_text())["project"]["dependencies"]
+    }
+    imported = set()
+    for path in (REPO / "src" / "ablum").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported - set(sys.stdlib_module_names) - {"ablum"} == declared
