@@ -32,7 +32,6 @@ from .dynamics import (
     AttitudeSchedule,
     DemandState,
     SimulationState,
-    apply_attitude_schedule,
     run_schedule,
     run_until_stable,
     selection_count,

@@ -30,6 +30,7 @@ from .experiments import (
     seed_streams,
 )
 from .landscape import LandscapeGrid
+from .metrics import RunSummary
 
 # A sweep point's regime glyph: its dominant class (conservation, medium,
 # high) by final shares averaged over its replicates, or MIXED when no class
@@ -37,7 +38,7 @@ from .landscape import LandscapeGrid
 GLYPHS = (".", "o", "#")
 MIXED = "="
 DOMINANT_SHARE = 0.45
-_FINAL_SHARES = ("final_share_c", "final_share_mi", "final_share_hi")
+_FINAL_SHARES = [f.name for f in dataclasses.fields(RunSummary)[:3]]
 
 
 def _default_threads() -> int:

@@ -128,7 +128,7 @@ class SimulationState:
     demand: DemandState
     rng: np.random.Generator
     tick: int = 0
-    attitude_offsets: np.ndarray | None = None
+    attitude_offsets: float | np.ndarray = 0.0
 
     def __post_init__(self):
         if self.grid.profiles is None:
@@ -155,19 +155,21 @@ def selection_count(n_cells: int) -> int:
     return int(math.floor(UPDATE_FRACTION * n_cells + 0.5))
 
 
-def _join(parts: list[np.ndarray]) -> np.ndarray:
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+def _share(owners: list, name: str, n_cells: int) -> np.ndarray:
+    """Every owner's per-cell ``name`` (a scalar is broadcast), joined along
+    the batch cells; each owner's ``name`` becomes its view of the result."""
+    joined = np.concatenate([np.broadcast_to(getattr(o, name), n_cells) for o in owners])
+    for o, part in zip(owners, np.split(joined, len(owners))):
+        setattr(o, name, part)
+    return joined
 
 
-def _join_param(values: list, n_cells: int) -> np.ndarray:
-    """One parameter over the batch: a 0-d array when every run has the same
-    scalar, one value per run when each run has a scalar, else one value per
-    batch cell."""
-    if all(np.ndim(v) == 0 for v in values):
-        if len({float(v) for v in values}) == 1:
-            return np.asarray(values[0], dtype=np.float64)
-        return np.array(values, dtype=np.float64)
-    return _join([np.broadcast_to(v, n_cells) for v in values])
+def _per_run(values: list[float]) -> np.ndarray:
+    """A parameter every run holds as a scalar: a 0-d array when all are
+    equal, else one value per run."""
+    if len({float(v) for v in values}) == 1:
+        return np.asarray(values[0], dtype=np.float64)
+    return np.array(values, dtype=np.float64)
 
 
 def _gather(indices: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -234,11 +236,15 @@ class Lockstep:
 
     Every run has ``n_cells`` cells and draws ``draws`` of them a tick; run
     b's cell i is batch cell ``offsets[b] + i``, or ``b * n_cells + i``.
-    Land use, capitals and decision parameters (``params``) are joined along
-    that index, so a tick decides for every run in one set of array
-    operations. Each run's ``grid.aft_id``, ``grid.c_prod`` and
-    ``grid.c_nat`` become views of the joined arrays, so a commit updates
-    every run in place and no capital is held twice. Commits also keep
+    Land use, capitals, attitude offsets and decision parameters
+    (``params``) are joined along that index, so a tick decides for every
+    run in one set of array operations. A parameter is held per cell when
+    it varies within any run, and attitude always is; a parameter that is
+    one number per run is held per run. Each run's ``grid.aft_id``,
+    ``grid.c_prod``, ``grid.c_nat``, ``attitude_offsets`` and per-cell
+    profile fields become views of the joined arrays, in a batch of one run
+    as of many, so a commit or a schedule updates every run in place and no
+    per-cell array is held twice. Commits also keep
     ``class_counts`` (each run's cells per class), ``neighbour_counts`` (each
     cell's neighbours per class) and ``s_prod``, ``s_nat`` (each cell's
     sensitivities under its land use) current.
@@ -274,34 +280,33 @@ class Lockstep:
         nets = [s.network for s in self.states]
         if len({(g.width, g.height) for g in grids}) > 1:
             raise ConfigurationError("runs in a batch must share one grid shape")
-        self.n_cells = grids[0].n_cells
-        self.offsets = self.n_cells * np.arange(len(grids) + 1)
-        self.draws = selection_count(self.n_cells)
-        self.aft_id = _join([g.aft_id for g in grids])
-        self.c_prod = _join([g.c_prod for g in grids])
-        self.c_nat = _join([g.c_nat for g in grids])
-        if len(grids) > 1:
-            for g, lo, hi in zip(grids, self.offsets, self.offsets[1:]):
-                g.aft_id, g.c_prod, g.c_nat = self.aft_id[lo:hi], self.c_prod[lo:hi], self.c_nat[lo:hi]
+        n = self.n_cells = grids[0].n_cells
+        self.offsets = n * np.arange(len(grids) + 1)
+        self.draws = selection_count(n)
+        self.aft_id, self.c_prod, self.c_nat = (
+            _share(grids, name, n) for name in ("aft_id", "c_prod", "c_nat")
+        )
         self.s_prod, self.s_nat = S_PROD[self.aft_id], S_NAT[self.aft_id]
+        self.attitude_offsets = _share(self.states, "attitude_offsets", n)
+        profiles = [g.profiles for g in grids]
         self.params = {
-            f.name: _join_param([getattr(g.profiles, f.name) for g in grids], self.n_cells)
+            f.name: _share(profiles, f.name, n)
+            if f.name == "attitude" or any(np.ndim(getattr(p, f.name)) for p in profiles)
+            else _per_run([getattr(p, f.name) for p in profiles])
             for f in fields(BehaviouralProfile)
         }
-        self.params["logistic_k"] = _join_param(
-            [s.behaviour_globals.logistic_k for s in self.states], self.n_cells
-        )
+        self.params["logistic_k"] = _per_run([s.behaviour_globals.logistic_k for s in self.states])
 
         self.lattices = list(dict.fromkeys(net.lattice for net in nets))
         self.lattice_of = np.array([self.lattices.index(net.lattice) for net in nets])
         lattice_degrees = [lattice.degrees() for lattice in self.lattices]
-        self.degree = _join([lattice_degrees[g] for g in self.lattice_of])
+        self.degree = np.concatenate([lattice_degrees[g] for g in self.lattice_of])
         # The lattices differ only in radius: the widest one's stencil, cut
         # to each run's radius, gives every run's neighbours.
         radii = np.array([lattice.radius for lattice in self.lattices])
         self.widest = self.lattices[radii.argmax()]
         self.radius = radii[self.lattice_of]
-        self.neighbour_counts = _join(
+        self.neighbour_counts = np.concatenate(
             [net.lattice.class_counts(g.aft_id, _N_TYPES) for net, g in zip(nets, grids)]
         )
         # Both directions of every teleconnection, as batch cells sorted by source.
@@ -376,11 +381,6 @@ class Lockstep:
         for b, (s_mat, s_nm) in zip(runs.tolist(), self.supply[runs].tolist()):
             demand = self.states[b].demand
             demand.s_mat, demand.s_nm = s_mat, s_nm
-
-    def refresh_attitude(self) -> None:
-        """Re-join the attitudes after a schedule changed some of them."""
-        attitudes = [s.grid.profiles.attitude for s in self.states]
-        self.params["attitude"] = _join_param(attitudes, self.n_cells)
 
     def neighbours(self, cells: np.ndarray, runs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Neighbours of the given batch cells of the given runs, concatenated,
@@ -483,15 +483,6 @@ def tick(state: SimulationState | Lockstep) -> TickReport:
     return report
 
 
-def apply_attitude_schedule(state: SimulationState, schedule: AttitudeSchedule) -> SimulationState:
-    """Set attitudes to the scheduled mean at the current tick plus the
-    state's attitude offsets, clamped to [-1, 1] cell by cell."""
-    offsets = state.attitude_offsets if state.attitude_offsets is not None else 0.0
-    mean = schedule.mean_at(state.tick)
-    state.grid.profiles.attitude = np.clip(mean + offsets, -1.0, 1.0)
-    return state
-
-
 @dataclass(frozen=True)
 class StopRule:
     """Run to stability: stop once every share moved less than epsilon
@@ -523,12 +514,14 @@ def run_lockstep(
     """Run every state under one rule, all in one batch; returns their trajectories.
 
     ``rule`` is the StopRule each run stops by, or the AttitudeSchedule every
-    run follows for the schedule's full span, re-applying attitudes every
-    tick. The runs must share a grid shape and a starting tick. A run that
-    has ended stops being drawn. Every run's trajectory and final state, its
-    generator's included, are exactly those it gets when run on its own: runs
-    draw their selections up to DRAW_AHEAD ticks ahead, and the batch
-    rewinds their generators before it returns.
+    run follows for the schedule's full span: at the start and after every
+    tick, one in-place clip of the scheduled mean plus the batch's attitude
+    offsets rewrites every run's attitudes, and one row-wise mean gives
+    every run's mean attitude. The runs must share a grid shape and a
+    starting tick. A run that has ended stops being drawn. Every run's
+    trajectory and final state, its generator's included, are exactly those
+    it gets when run on its own: runs draw their selections up to DRAW_AHEAD
+    ticks ahead, and the batch rewinds their generators before it returns.
 
     Each step records one block of rows, one per live run; the trajectories
     are cut from the blocks at the end. Run b keeps the shares of its latest
@@ -543,10 +536,8 @@ def run_lockstep(
     if len({s.tick for s in states}) > 1:
         raise ConfigurationError("runs in a batch must start on the same tick")
     scheduled = isinstance(rule, AttitudeSchedule)
-    if scheduled:
-        for state in states:
-            apply_attitude_schedule(state, rule)
     batch = Lockstep(states, last_tick=rule.last_tick)
+    attitude = batch.params["attitude"]
     first_tick = states[0].tick
     window = 0 if scheduled else rule.window
     # Steps at which the runs reach the last tick, and may settle: at tick
@@ -555,8 +546,10 @@ def run_lockstep(
     settle_step = math.inf if scheduled else window - first_tick
     recent = np.empty((len(states), 3, window + 1))
     # Columns mean_attitude and scheduled_attitude (NaN without a schedule).
+    # Each row of the attitude reshaped is one run's cells, and its mean is
+    # that run's np.mean, bit for bit.
     attitudes = np.full((len(states), 2), np.nan)
-    attitudes[:, 0] = [np.mean(s.grid.profiles.attitude) for s in states]
+    attitudes[:, 0] = attitude.reshape(len(states), -1).mean(axis=1)
     blocks: list[tuple[np.ndarray, np.ndarray]] = []
 
     def rows_of(runs: np.ndarray) -> slice | np.ndarray:
@@ -567,8 +560,10 @@ def run_lockstep(
         shares = batch.class_counts[rows] / batch.n_cells
         recent[rows, :, step % (window + 1)] = shares
         if scheduled:
-            attitudes[rows, 0] = [np.mean(states[b].grid.profiles.attitude) for b in runs.tolist()]
-            attitudes[rows, 1] = rule.mean_at(first_tick + step)
+            mean = rule.mean_at(first_tick + step)
+            np.clip(mean + batch.attitude_offsets, -1.0, 1.0, out=attitude)
+            attitudes[rows, 0] = attitude.reshape(len(states), -1)[rows].mean(axis=1)
+            attitudes[rows, 1] = mean
         blocks.append((runs, np.concatenate([shares, batch.supply[rows], attitudes[rows]], axis=1)))
 
     live = np.arange(len(states))
@@ -580,10 +575,6 @@ def run_lockstep(
         batch.live = live
         tick(batch)
         step += 1
-        if scheduled:
-            for b in live.tolist():
-                apply_attitude_schedule(states[b], rule)
-            batch.refresh_attitude()
         record(live, rows, step)
         if settle_step <= step:
             shares = recent[rows]

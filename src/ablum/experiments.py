@@ -10,6 +10,7 @@ Sensitivity rows share the seed of their base sample across Saltelli blocks
 from __future__ import annotations
 
 import itertools
+import numbers
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -272,6 +273,8 @@ def evaluate_design(
     Returns an (n_rows, 5) array with columns OUTPUT_METRICS. Rows derived
     from the same base sample share their replicate seeds.
     """
+    if not isinstance(replicates, numbers.Integral):
+        raise ConfigurationError(f"replicates must be an integer, got {replicates!r}")
     if replicates < 1:
         raise ConfigurationError(f"replicates must be >= 1, got {replicates}")
     jobs = []

@@ -15,6 +15,7 @@ at most 16 parameters.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -124,16 +125,9 @@ class SaltelliDesign:
         if outputs.shape != (self.n_rows,):
             raise ConfigurationError(f"outputs must have shape ({self.n_rows},)")
         n, d = self.n_base, self.space.d
-        f_a = outputs[:n]
-        f_ab = np.stack([outputs[n * (1 + i) : n * (2 + i)] for i in range(d)], axis=1)
-        if self.second_order:
-            f_ba = np.stack(
-                [outputs[n * (1 + d + i) : n * (2 + d + i)] for i in range(d)], axis=1
-            )
-        else:
-            f_ba = None
-        f_b = outputs[-n:]
-        return f_a, f_b, f_ab, f_ba
+        f_ab = outputs[n : n * (1 + d)].reshape(d, n).T
+        f_ba = outputs[n * (1 + d) : n * (1 + 2 * d)].reshape(d, n).T if self.second_order else None
+        return outputs[:n], outputs[-n:], f_ab, f_ba
 
 
 def _direction_numbers(dims: int) -> np.ndarray:
@@ -194,6 +188,8 @@ def saltelli_sample(
     the sequence's balance properties; other sizes warn. A SeedSequence seed
     is read, not spawned from, so the same one gives the same design again.
     """
+    if not isinstance(n_base, numbers.Integral):
+        raise ConfigurationError(f"n_base must be an integer, got {n_base!r}")
     if not 1 <= n_base <= 2**_BITS:
         raise ConfigurationError(f"n_base must be between 1 and 2**{_BITS}")
     d = space.d

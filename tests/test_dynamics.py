@@ -20,7 +20,6 @@ from ablum import (
     ExperimentConfig,
     LandscapeGrid,
     SimulationState,
-    apply_attitude_schedule,
     build_lattice,
     build_state,
     dynamics,
@@ -253,14 +252,14 @@ class TestAttitudeSchedule:
             AttitudeSchedule(((0, -1.5), (10, 0.0)))
 
     def test_apply_constant_zero(self):
-        state = make_state()
-        apply_attitude_schedule(state, AttitudeSchedule(((0, 0.0), (10, 0.0))))
+        state = make_state(attitude=0.7)
+        run_schedule(state, AttitudeSchedule(((0, 0.0), (10, 0.0))))
         assert np.all(state.grid.profiles.attitude == 0.0)
 
     def test_apply_clamps_with_offsets(self):
         state = make_state()
         state.attitude_offsets = np.full(state.grid.n_cells, 0.9)
-        apply_attitude_schedule(state, AttitudeSchedule(((0, 0.5), (10, 0.5))))
+        run_schedule(state, AttitudeSchedule(((0, 0.5), (10, 0.5))))
         assert np.all(state.grid.profiles.attitude == 1.0)
 
     def test_symmetric_ramp_mirrors(self):

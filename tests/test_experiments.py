@@ -299,6 +299,14 @@ class TestDesignEvaluation:
             with pytest.raises(ConfigurationError, match="^replicates must be >= 1"):
                 run_sobol(cfg, n_base=2, replicates=replicates, space=self._space())
 
+    def test_non_integral_replicates_rejected(self):
+        cfg = small_config(epsilon=1.0)
+        design = saltelli_sample(self._space(), 2, seed=cfg.seed)
+        with pytest.raises(ConfigurationError, match=r"^replicates must be an integer, got 2\.0$"):
+            evaluate_design(design, cfg, replicates=2.0)
+        with pytest.raises(ConfigurationError, match=r"^replicates must be an integer, got 2\.0$"):
+            run_sobol(cfg, n_base=2, replicates=2.0, space=self._space())
+
     def test_replicate_averaging(self):
         cfg = small_config(epsilon=1.0)
         design = saltelli_sample(self._space(), 2, seed=cfg.seed)

@@ -10,7 +10,7 @@ on its own.
 
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from ablum import (
     DEFAULT_AFTS,
+    BehaviouralProfile,
     ConfigurationError,
     DemandState,
     ExperimentConfig,
@@ -44,13 +45,12 @@ from ablum import (
     total_supply,
     utility,
 )
-from ablum import experiments
+from ablum import dynamics, experiments
 from ablum.dynamics import (
     DRAW_AHEAD,
     AttitudeSchedule,
     Lockstep,
     StopRule,
-    apply_attitude_schedule,
     run_lockstep,
 )
 from ablum.metrics import Trajectory
@@ -103,10 +103,18 @@ def lockstep_by_lists(states, rule):
     """run_lockstep's bookkeeping as per-run Python lists: one row tuple per
     run and tick, and settling decided run by run on the share lists."""
     scheduled = isinstance(rule, AttitudeSchedule)
-    if scheduled:
-        for state in states:
-            apply_attitude_schedule(state, rule)
     batch = Lockstep(states)
+
+    def follow_schedule(b):
+        # In place: each run's attitudes are its view of the batch's.
+        state = states[b]
+        state.grid.profiles.attitude[:] = np.clip(
+            rule.mean_at(state.tick) + state.attitude_offsets, -1.0, 1.0
+        )
+
+    if scheduled:
+        for b in range(len(states)):
+            follow_schedule(b)
     attitude = [float(np.mean(s.grid.profiles.attitude)) for s in states]
     rows = [[] for _ in states]
     shares = [([], [], []) for _ in states]
@@ -142,8 +150,7 @@ def lockstep_by_lists(states, rule):
         tick(batch)
         if scheduled:
             for b in live:
-                apply_attitude_schedule(states[b], rule)
-            batch.refresh_attitude()
+                follow_schedule(b)
         record(batch.live)
         live = [b for b in live if not ended(b)]
     return [Trajectory.from_rows(rows[b]) for b in runs.tolist()]
@@ -330,6 +337,66 @@ class TestMixedBatch:
         states[1].tick = 3
         with pytest.raises(ConfigurationError, match="same tick"):
             run_lockstep(states, StopRule(50, 10, 0.01))
+
+
+class TestOneCopy:
+    """A run's per-cell arrays are views of its batch's, so none is held
+    twice, and a schedule writes attitudes in place."""
+
+    @staticmethod
+    def assert_views(batch):
+        joined = {
+            "aft_id": batch.aft_id, "c_prod": batch.c_prod, "c_nat": batch.c_nat,
+            "attitude_offsets": batch.attitude_offsets, **batch.params,
+        }
+        for state, lo, hi in zip(batch.states, batch.offsets, batch.offsets[1:]):
+            held = {
+                "aft_id": state.grid.aft_id, "c_prod": state.grid.c_prod, "c_nat": state.grid.c_nat,
+                "attitude_offsets": state.attitude_offsets,
+                **{f.name: getattr(state.grid.profiles, f.name) for f in fields(BehaviouralProfile)},
+            }
+            assert np.ndim(held["attitude"]) == 1  # a batch holds attitude per cell
+            for name, array in held.items():
+                if np.ndim(array):
+                    assert np.shares_memory(array, joined[name][lo:hi]), name
+                    assert array.size == batch.n_cells, name
+
+    @pytest.mark.parametrize("runs", [1, 2, 7])
+    def test_built_batch(self, runs):
+        self.assert_views(Lockstep(build_batch(mixed_configs()[:runs])))
+
+    @pytest.mark.parametrize("runs", [1, 3])
+    def test_after_a_schedule(self, runs, monkeypatch):
+        batches = []
+
+        class Recorded(Lockstep):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                batches.append(self)
+
+        monkeypatch.setattr(dynamics, "Lockstep", Recorded)
+        configs = scheduled_configs()[:runs]
+        run_lockstep(build_batch(configs), AttitudeSchedule(configs[0].schedule))
+        (batch,) = batches
+        self.assert_views(batch)
+        assert np.all(batch.params["attitude"] == np.clip(0.6 + batch.attitude_offsets, -1.0, 1.0))
+
+    def test_bytes_per_cell(self):
+        # Nine 25x25 runs with every spread on held 124.6 B/cell once their
+        # batch was built (tracemalloc), about 172 when each run kept its own
+        # capitals, land use and profile arrays beside the batch's copies.
+        cfg = ExperimentConfig(
+            grid_width=25, grid_height=25, n_tele=20, attitude_sigma=0.2, inertia_sigma=0.1,
+            norm_weight_sigma=0.1, cm_int_sigma=0.1, cm_ext_sigma=0.1, git_upper_sigma=0.1,
+        )
+        Lockstep(build_batch([cfg]))  # first-use caches are not the batch's
+        tracemalloc.start()
+        try:
+            batch = Lockstep(build_batch([cfg] * 9))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 130 * batch.offsets[-1]
 
 
 def choice_replay(config, key, ticks):

@@ -309,6 +309,10 @@ class TestSobolSampler:
             warnings.simplefilter("error")
             saltelli_sample(ishigami_space(), 8)
 
+    def test_non_integral_n_base_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"^n_base must be an integer, got 8\.0$"):
+            saltelli_sample(ishigami_space(), 8.0)
+
     def test_more_points_than_the_sequence_rejected(self):
         with pytest.raises(ConfigurationError, match=r"^n_base must be between 1 and 2\*\*30$"):
             saltelli_sample(ishigami_space(), 2**30 + 1)
