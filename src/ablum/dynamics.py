@@ -45,6 +45,11 @@ UPDATE_FRACTION = 0.05
 # Ticks of cell selections a run in `run_lockstep` draws at once.
 DRAW_AHEAD = 16
 
+# Cells whose neighbour class counts a batch computes in one pass: a
+# 101x101 run at a time, or 26 runs of 25x25. A pass holds about 45 B a cell
+# of temporaries and result (tracemalloc), so at most about 0.75 MB.
+_COUNT_PASS_CELLS = 16_384
+
 _N_TYPES = len(DEFAULT_AFTS)
 # Flat [c, i, t]: whether a neighbour of class c conforms to a switch from
 # type i to type t: at or above t's intensity if t is more intense than i,
@@ -158,10 +163,13 @@ def selection_count(n_cells: int) -> int:
 def _share(owners: list, name: str, n_cells: int) -> np.ndarray:
     """Every owner's per-cell ``name`` (a scalar is broadcast), joined along
     the batch cells; each owner's ``name`` becomes its view of the result."""
-    joined = np.concatenate([np.broadcast_to(getattr(o, name), n_cells) for o in owners])
-    for o, part in zip(owners, np.split(joined, len(owners))):
-        setattr(o, name, part)
-    return joined
+    values = [getattr(o, name) for o in owners]
+    dtype = np.result_type(*{np.asarray(v).dtype for v in values})
+    joined = np.empty((len(owners), n_cells), dtype)
+    for o, row, value in zip(owners, joined, values):
+        row[...] = value
+        setattr(o, name, row)
+    return joined.reshape(-1)
 
 
 def _per_run(values: list[float]) -> np.ndarray:
@@ -198,7 +206,7 @@ def _floyd(draws: np.ndarray, n: int) -> np.ndarray:
     taken = np.zeros((m, k), dtype=bool)
     taken[(repeats >> shift) // n, repeats & ((1 << shift) - 1)] = True
     earlier = draws - (n - k)
-    rows, cols = np.nonzero((earlier >= 0) & (earlier < np.arange(k)))
+    rows, cols = np.divmod(np.flatnonzero((earlier >= 0) & (earlier < np.arange(k))), k)
     earlier = earlier[rows, cols]
     while True:
         grow = taken[rows, earlier] & ~taken[rows, cols]
@@ -299,16 +307,22 @@ class Lockstep:
 
         self.lattices = list(dict.fromkeys(net.lattice for net in nets))
         self.lattice_of = np.array([self.lattices.index(net.lattice) for net in nets])
-        lattice_degrees = [lattice.degrees() for lattice in self.lattices]
-        self.degree = np.concatenate([lattice_degrees[g] for g in self.lattice_of])
+        self.degree = np.array([lattice.degrees() for lattice in self.lattices])[self.lattice_of].reshape(-1)
         # The lattices differ only in radius: the widest one's stencil, cut
         # to each run's radius, gives every run's neighbours.
         radii = np.array([lattice.radius for lattice in self.lattices])
         self.widest = self.lattices[radii.argmax()]
         self.radius = radii[self.lattice_of]
-        self.neighbour_counts = np.concatenate(
-            [net.lattice.class_counts(g.aft_id, _N_TYPES) for net, g in zip(nets, grids)]
-        )
+        # Each lattice counts its runs' neighbours a pass of up to
+        # _COUNT_PASS_CELLS cells at a time, which bounds the temporaries.
+        self.neighbour_counts = np.empty((self.offsets[-1], _N_TYPES), dtype=np.int32)
+        counts_of_run = self.neighbour_counts.reshape(len(grids), n, _N_TYPES)
+        aft_of_run = self.aft_id.reshape(len(grids), n)
+        per_pass = max(_COUNT_PASS_CELLS // n, 1)
+        for g, lattice in enumerate(self.lattices):
+            runs = np.flatnonzero(self.lattice_of == g)
+            for part in np.split(runs, range(per_pass, runs.size, per_pass)):
+                counts_of_run[part] = lattice.class_counts(aft_of_run[part], _N_TYPES)
         # Both directions of every teleconnection, as batch cells sorted by source.
         lo, hi = np.concatenate([net.tele + o for net, o in zip(nets, self.offsets)]).T
         src, dst = np.concatenate([lo, hi]), np.concatenate([hi, lo])
@@ -316,7 +330,10 @@ class Lockstep:
         self.tele_src, self.tele_dst = src[order], dst[order]
         np.add.at(self.degree, src, 1)
         np.add.at(self.neighbour_counts.reshape(-1), src * _N_TYPES + self.aft_id[dst], 1)
-        self.class_counts = np.array([np.bincount(g.aft_id, minlength=_N_TYPES) for g in grids])
+        self.class_counts = np.bincount(
+            (aft_of_run + _N_TYPES * np.arange(len(grids))[:, None]).reshape(-1),
+            minlength=len(grids) * _N_TYPES,
+        ).reshape(len(grids), _N_TYPES)
         self.demand = np.array([(s.demand.d_mat, s.demand.d_nm) for s in self.states])
         self.supply = np.empty((len(self.states), 2))
         self.live = np.arange(len(self.states))
@@ -461,8 +478,7 @@ def tick(state: SimulationState | Lockstep) -> TickReport:
         batch.neighbour_counts.reshape(-1)[cells * _N_TYPES + classes]
         * _CONFORMING[(classes * _N_TYPES + old) * _N_TYPES + t]
     ).sum(axis=0)
-    with np.errstate(invalid="ignore"):
-        p = conforming / batch.degree[cells]
+    p = conforming / batch.degree[cells]
     cm = np.where(intensifying, params["cm_int"], params["cm_ext"])
     a_eff = -np.sign(delta) * params["attitude"]
     jump = np.abs(delta)
@@ -488,8 +504,11 @@ class StopRule:
     """Run to stability: stop once every share moved less than epsilon
     across a trailing window, or at max_ticks regardless.
 
-    The check spans the window+1 most recent rows, so a run that never moves
-    stops exactly at tick == window.
+    The check spans the window+1 most recent rows of the current call, so a
+    run that never moves stops exactly window ticks after the call's first
+    tick. A run continued from tick t therefore stops where one call from
+    tick 0 stops, whenever that call runs past tick t + window. max_ticks is
+    the last tick, not a count of the call's steps.
     """
 
     max_ticks: int = 2000
@@ -527,11 +546,10 @@ def run_lockstep(
     are cut from the blocks at the end. Run b keeps the shares of its latest
     ``window + 1`` steps in ``recent[b]``, step s in column s % (window + 1),
     so one max-minus-min over those columns decides settling for every live
-    run at once. Every column starts at step 0's shares, which belong to the
-    trailing window for as long as fewer steps have been taken. The live
-    runs' rows are read through an index made once per change of the live
-    set: a slice, which gathers nothing, while they are one contiguous range,
-    as a single run always is.
+    run at once, from step ``window`` on, when every column holds one of the
+    call's own steps. The live runs' rows are read through an index made
+    once per change of the live set: a slice, which gathers nothing, while
+    they are one contiguous range, as a single run always is.
     """
     if len({s.tick for s in states}) > 1:
         raise ConfigurationError("runs in a batch must start on the same tick")
@@ -540,10 +558,10 @@ def run_lockstep(
     attitude = batch.params["attitude"]
     first_tick = states[0].tick
     window = 0 if scheduled else rule.window
-    # Steps at which the runs reach the last tick, and may settle: at tick
-    # window, and never under a schedule.
+    # Steps at which the runs reach the last tick, and may settle: once the
+    # call has taken window steps of its own, and never under a schedule.
     last_step = rule.last_tick - first_tick
-    settle_step = math.inf if scheduled else window - first_tick
+    settle_step = math.inf if scheduled else window
     recent = np.empty((len(states), 3, window + 1))
     # Columns mean_attitude and scheduled_attitude (NaN without a schedule).
     # Each row of the attitude reshaped is one run's cells, and its mean is
@@ -569,7 +587,6 @@ def run_lockstep(
     live = np.arange(len(states))
     rows = rows_of(live)
     record(live, rows, 0)
-    recent[...] = recent[:, :, :1]
     step = 0
     while step < last_step and live.size:
         batch.live = live
@@ -601,11 +618,8 @@ def run_until_stable(
     window: int = 50,
     epsilon: float = 0.002,
 ) -> tuple[SimulationState, Trajectory]:
-    """Tick until every share moved less than epsilon across a trailing window.
-
-    The check spans the window+1 most recent rows, so a run that never moves
-    stops exactly at tick == window. Stops at max_ticks regardless.
-    """
+    """Tick until every share moved less than epsilon across a trailing window
+    of this call's rows (see StopRule), or until tick max_ticks."""
     (trajectory,) = run_lockstep([state], StopRule(max_ticks, window, epsilon))
     return state, trajectory
 

@@ -13,7 +13,7 @@ import itertools
 import numbers
 import re
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 from typing import NamedTuple
 
@@ -55,9 +55,10 @@ from .sensitivity import (
 # Cells per lockstep batch of a campaign: 160 runs of 25x25 (a whole
 # sobol_screen design) or 9 of 101x101. A run's lattice is held as its shape
 # and the run keeps only its teleconnections, so memory grows with the cells.
-# A budget of 262,144 (a whole 25-run 101x101 sweep) peaked at 142.0-142.4 MB
-# on the network_maps benchmark, against about 117.6 MB at this budget, and
-# its gain in runs/s was not resolved.
+# One network_maps sweep (25 runs of 101x101, one rep) peaked at 72.6 MB of
+# resident memory with a budget of 262,144 (the whole sweep in one batch),
+# against 52.4 MB at this budget, and took 1.16 s against 1.24 s, a gain
+# within the machine's noise (2-core Xeon, numpy 2.4, one BLAS thread).
 CELL_BUDGET = 100_000
 
 
@@ -85,61 +86,86 @@ def run_capitals(config: ExperimentConfig, streams: SeedStreams) -> tuple[np.nda
     )
 
 
-def _build_profiles(config: ExperimentConfig, n: int, seed_seq) -> tuple[BehaviouralProfile, np.ndarray]:
-    """Draw per-cell behavioural parameters around the configured means.
+def _build_profiles(config: ExperimentConfig, z: np.ndarray) -> tuple[BehaviouralProfile, np.ndarray]:
+    """Per-cell behavioural parameters around the configured means, from the
+    seed key's standard-normal draws ``z``: one row per profile field, in
+    field order, drawn in that order from the profiles stream.
 
-    Every field consumes the stream even at sigma 0, and an economic baseline
-    zeroes its giving-in ceiling only after drawing it, so turning either on
-    or off never shifts another parameter's draws.
+    Every field has its row even at sigma 0, and an economic baseline zeroes
+    its giving-in ceiling only after drawing it, so turning either on or off
+    never shifts another parameter's draws.
     """
-    rng = np.random.default_rng(seed_seq)
-
-    def draws():
-        return rng.standard_normal(n)
-
-    z_att = draws()
-    attitude_offsets = config.attitude_sigma * z_att
+    attitude_offsets = config.attitude_sigma * z[0]
     attitude = np.clip(config.attitude_mean + attitude_offsets, -1.0, 1.0)
 
-    def spread(mean, sigma, z, lo, hi):
+    def spread(mean, sigma, row):
         if sigma == 0.0:
             return float(mean)
-        return np.clip(mean + sigma * z, lo, hi)
+        return np.clip(mean + sigma * row, 0.0, 1.0)
 
     profile = BehaviouralProfile(
         attitude=attitude,
-        inertia_coeff=spread(config.inertia_lambda, config.inertia_sigma, draws(), 0.0, 1.0),
-        norm_weight=spread(config.norm_weight_w, config.norm_weight_sigma, draws(), 0.0, 1.0),
-        cm_int=spread(config.cm_int, config.cm_int_sigma, draws(), 0.0, 1.0),
-        cm_ext=spread(config.cm_ext, config.cm_ext_sigma, draws(), 0.0, 1.0),
-        git_upper=spread(config.git_upper_L, config.git_upper_sigma, draws(), 0.0, 1.0),
+        inertia_coeff=spread(config.inertia_lambda, config.inertia_sigma, z[1]),
+        norm_weight=spread(config.norm_weight_w, config.norm_weight_sigma, z[2]),
+        cm_int=spread(config.cm_int, config.cm_int_sigma, z[3]),
+        cm_ext=spread(config.cm_ext, config.cm_ext_sigma, z[4]),
+        git_upper=spread(config.git_upper_L, config.git_upper_sigma, z[5]),
     )
     if config.economic_baseline:
         profile.git_upper = 0.0
     return profile, attitude_offsets
 
 
+def _build_states(jobs: list) -> list[SimulationState]:
+    """Assemble a ready-to-run simulation for every (config, seed key) job,
+    in job order; the key's master seed splits into the streams of
+    SeedStreams.
+
+    A draw depends only on its stream and the inputs it reads, so each is
+    made once for the jobs that share them: the capitals, the initial land
+    use and the profile draws once per seed key, grid, peaks, noise and
+    initial shares, and the network once per seed key, grid, radius and
+    teleconnection count. Each job then derives only its own profile values
+    and its own generator. Jobs may share their capital and land-use arrays,
+    which a Lockstep batch joins into its own before a tick writes land use,
+    and their network, which is immutable.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, (config, key) in enumerate(jobs):
+        inputs = (key, config.grid_width, config.grid_height, config.peaks, config.noise_amp, config.shares)
+        groups.setdefault(inputs, []).append(i)
+    states: list = [None] * len(jobs)
+    networks = {}
+    for members in groups.values():
+        config, key = jobs[members[0]]
+        streams = seed_streams(key)
+        width, height = config.grid_width, config.grid_height
+        n = width * height
+        c_prod, c_nat = run_capitals(config, streams)
+        aft_id = init_land_use(n, config.shares, streams.init)
+        z = np.random.default_rng(streams.profiles).standard_normal((len(fields(BehaviouralProfile)), n))
+        for i in members:
+            config = jobs[i][0]
+            profiles, attitude_offsets = _build_profiles(config, z)
+            net_key = (key, width, height, config.moore_radius, config.n_tele)
+            if net_key not in networks:
+                lattice = build_lattice(width, height, config.moore_radius)
+                networks[net_key] = add_teleconnections(lattice, config.n_tele, streams.net)
+            states[i] = SimulationState(
+                grid=LandscapeGrid(width, height, c_prod, c_nat, aft_id, profiles=profiles),
+                network=networks[net_key],
+                behaviour_globals=BehaviourGlobals(config.logistic_k),
+                demand=DemandState(config.demand_mat, config.demand_nm),
+                rng=np.random.default_rng(streams.sim),
+                attitude_offsets=attitude_offsets,
+            )
+    return states
+
+
 def build_state(config: ExperimentConfig, key: tuple[int, ...] | None = None) -> SimulationState:
     """Assemble a ready-to-run simulation; the seed key's master seed splits
     into the streams of SeedStreams."""
-    streams = seed_streams(key if key is not None else (config.seed, 0, 0))
-    c_prod, c_nat = run_capitals(config, streams)
-    n = config.grid_width * config.grid_height
-    aft_id = init_land_use(n, config.shares, streams.init)
-    profiles, attitude_offsets = _build_profiles(config, n, streams.profiles)
-    grid = LandscapeGrid(
-        config.grid_width, config.grid_height, c_prod, c_nat, aft_id, profiles=profiles
-    )
-    lattice = build_lattice(config.grid_width, config.grid_height, config.moore_radius)
-    net = add_teleconnections(lattice, config.n_tele, streams.net)
-    return SimulationState(
-        grid=grid,
-        network=net,
-        behaviour_globals=BehaviourGlobals(config.logistic_k),
-        demand=DemandState(config.demand_mat, config.demand_nm),
-        rng=np.random.default_rng(streams.sim),
-        attitude_offsets=attitude_offsets,
-    )
+    return _build_states([(config, key if key is not None else (config.seed, 0, 0))])[0]
 
 
 @dataclass
@@ -183,7 +209,7 @@ def _run_batch(args) -> list:
     """Build and run one batch of (config, seed key) jobs in lockstep, then
     map each run through ``finish(config, key, state, trajectory)``."""
     jobs, finish = args
-    states = [build_state(config, key) for config, key in jobs]
+    states = _build_states(jobs)
     trajectories = run_lockstep(states, _stop_rule(jobs[0][0]))
     return [finish(c, key, s, t) for (c, key), s, t in zip(jobs, states, trajectories)]
 

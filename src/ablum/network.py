@@ -3,8 +3,8 @@
 The lattice connects every pair of cells within a Chebyshev radius, with hard
 boundaries (no wrap-around). It is held as its shape, the value (width,
 height, radius): degrees and the edge count are closed forms, neighbours come
-from a stencil of offsets, and neighbour class counts are box sums over a
-prefix sum of the land use, all O(cells) in memory at any radius.
+from a stencil of offsets, and neighbour class counts are box sums of the
+land use, one axis at a time, all O(cells) in memory at any radius.
 Long-range links (teleconnections) are extra undirected edges between
 uniformly sampled non-adjacent cell pairs, held as an overlay: each run keeps
 only its own pairs beside its lattice. Networks are immutable once built;
@@ -71,17 +71,16 @@ class MooreLattice:
         return (i != j) & (np.maximum(np.abs(yi - yj), np.abs(xi - xj)) <= self.radius)
 
     def class_counts(self, aft_id: np.ndarray, n_classes: int) -> np.ndarray:
-        """(n_cells, n_classes) int32, C-contiguous: each class among every
-        cell's neighbours, as box sums over a 2-D prefix sum of the one-hot
-        land use, minus the cell itself."""
-        h, w = self.height, self.width
-        onehot = (aft_id.reshape(h, w, 1) == np.arange(n_classes)).astype(np.int32)
-        table = np.zeros((h + 1, w + 1, n_classes), dtype=np.int32)
-        table[1:, 1:] = onehot.cumsum(axis=0, dtype=np.int32).cumsum(axis=1, dtype=np.int32)
-        (y0, y1), (x0, x1) = self._window(h), self._window(w)
-        y0, y1 = y0[:, None], y1[:, None]
-        counts = table[y1, x1] - table[y0, x1] - table[y1, x0] + table[y0, x0] - onehot
-        return counts.reshape(self.n_cells, n_classes)
+        """(*aft_id.shape, n_classes) int32, C-contiguous: each class among
+        every cell's neighbours, as box sums of the one-hot land use, one
+        axis at a time, minus the cell itself. ``aft_id`` is one grid's land
+        use, or one row per grid of this lattice."""
+        onehot = (aft_id.reshape(-1, self.height, self.width, 1) == np.arange(n_classes)).astype(np.int32)
+        counts = onehot.copy()
+        _window_sums(counts.swapaxes(0, 1), self.radius)  # along y
+        _window_sums(counts.swapaxes(0, 2), self.radius)  # along x
+        counts -= onehot
+        return counts.reshape(*aft_id.shape, n_classes)
 
     @cached_property
     def _stencil(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -111,11 +110,24 @@ class MooreLattice:
         inside = nb >= 0
         if radius is not None:
             inside &= ring <= radius[:, None]
-        return nb[inside], np.nonzero(inside)[0]
+        flat = np.flatnonzero(inside)
+        return nb.reshape(-1)[flat], flat // offsets.size
 
     def neighbours(self, i: int) -> np.ndarray:
         """Cell i's neighbours, ascending."""
         return self.gather(np.array([i]))[0]
+
+
+def _window_sums(a: np.ndarray, radius: int) -> None:
+    """Replace ``a``, in place, by its sums over every index's window
+    [i - radius, i + radius] along its first axis, clipped to the array. A
+    prefix sum padded with radius + 1 zeros before and radius copies of the
+    total after gives every window as the difference of two slices."""
+    n, r = len(a), radius
+    prefix = np.zeros((n + 2 * r + 1, *a.shape[1:]), dtype=a.dtype)
+    np.cumsum(a, axis=0, out=prefix[r + 1 : r + 1 + n])
+    prefix[r + 1 + n :] = prefix[r + n]
+    np.subtract(prefix[2 * r + 1 :], prefix[:n], out=a)
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,6 +5,8 @@ The vectorised tick is replayed decision-by-decision through the scalar
 behaviour API, so the engine is always checked against an independent route.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +26,7 @@ from ablum import (
     build_state,
     dynamics,
     evaluate_transition,
+    load_config,
     run_schedule,
     run_until_stable,
     selection_count,
@@ -419,6 +422,20 @@ class TestTick:
         got = {int(c): int(a) for c, a in zip(report.cells, report.new_aft)}
         assert got == expected
 
+    @pytest.mark.parametrize("n_tele", [0, 4])
+    def test_smallest_grid_divides_by_no_zero_degree(self, n_tele, monkeypatch):
+        # A buildable grid is at least 3x3 with radius >= 1, so every cell has
+        # at least 3 neighbours and the conforming fraction needs no guard.
+        # 5% of 9 cells rounds to none, so every cell is drawn instead.
+        monkeypatch.setattr(dynamics, "UPDATE_FRACTION", 1.0)
+        config = ExperimentConfig(grid_width=3, grid_height=3, demand_mat=4.0, demand_nm=4.0, n_tele=n_tele)
+        states = [build_state(config, (0, k, 0)) for k in range(20)]
+        batch = Lockstep(states)
+        assert batch.draws == 9 and batch.degree.min() >= 3
+        with np.errstate(divide="raise", invalid="raise"):
+            changed = sum(tick(batch).cells.size for _ in range(5))
+        assert changed > 0
+
     def test_strict_threshold_replay_guarantee(self):
         # every committed change must have beaten its threshold strictly
         state = make_state(seed=5, d_mat=20.0, d_nm=20.0)
@@ -462,6 +479,21 @@ class TestRunUntilStable:
     def test_non_positive_or_nan_epsilon_rejected(self, epsilon):
         with pytest.raises(ConfigurationError, match="epsilon must be positive"):
             StopRule(epsilon=epsilon)
+
+    def test_continued_run_stops_where_one_call_does(self):
+        # The window counts the continued call's own steps: a regime_map run
+        # stopped at tick 60 and continued settles at tick 265, with the map
+        # and generator of one call; counting from tick 0 stopped it at 61.
+        config = load_config(Path(__file__).resolve().parents[1] / "presets" / "regime_map.cfg")
+        whole, whole_traj = run_until_stable(build_state(config), 2000, 50, 0.002)
+        part, first = run_until_stable(build_state(config), 60, 50, 0.002)
+        part, rest = run_until_stable(part, 2000, 50, 0.002)
+        assert (int(first.tick[-1]), int(rest.tick[0])) == (60, 60)
+        assert int(rest.tick[-1]) == int(whole_traj.tick[-1]) == 265
+        assert np.array_equal(part.grid.aft_id, whole.grid.aft_id)
+        assert part.rng.bit_generator.state == whole.rng.bit_generator.state
+        for name in ("share_c", "share_mi", "share_hi", "s_mat", "s_nm"):
+            assert np.array_equal(getattr(rest, name), getattr(whole_traj, name)[60:]), name
 
     def test_trajectory_matches_final_state(self):
         state = make_state(seed=9)

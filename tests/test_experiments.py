@@ -30,7 +30,8 @@ from ablum import (
     saltelli_sample,
     sweep_points,
 )
-from ablum import experiments
+from ablum import dynamics, experiments
+from ablum.dynamics import Lockstep
 
 
 def small_config(**overrides):
@@ -96,6 +97,99 @@ class TestBuildState:
         assert isinstance(p.attitude, np.ndarray)  # sigma defaults to 0.15
         for field in (p.inertia_coeff, p.norm_weight, p.cm_int, p.cm_ext, p.git_upper):
             assert isinstance(field, float)
+
+
+class TestBatchBuild:
+    """A batch builds each seed key's capitals, land use and profile draws
+    once, and each network once per key, radius and teleconnection count;
+    every run equals the run built alone."""
+
+    SPACE = ParameterSpace(
+        (
+            ParameterDim("attitude_mean", -0.5, 0.5),
+            ParameterDim("moore_radius", 1, 3, kind="integer"),
+            ParameterDim("n_tele", 0, 12, kind="integer"),
+        )
+    )
+
+    def jobs(self, replicates=2):
+        base = small_config(
+            attitude_sigma=0.2, inertia_lambda=0.2, inertia_sigma=0.1, norm_weight_sigma=0.1,
+            cm_int_sigma=0.1, cm_ext_sigma=0.1, git_upper_sigma=0.1,
+        )
+        design = saltelli_sample(self.SPACE, 4, seed=base.seed, second_order=True)
+        jobs = [
+            (experiments.map_sample_to_config(list(design.matrix[r]), self.SPACE, base),
+             (base.seed, design.base_index(r), rep))
+            for r in range(design.n_rows)
+            for rep in range(replicates)
+        ]
+        jobs[5] = (replace(jobs[5][0], economic_baseline=True), jobs[5][1])
+        return design, base, jobs
+
+    @staticmethod
+    def assert_states_equal(a, b):
+        for name in ("c_prod", "c_nat", "aft_id"):
+            assert np.array_equal(getattr(a.grid, name), getattr(b.grid, name)), name
+        for field in fields(BehaviouralProfile):
+            got, want = getattr(a.grid.profiles, field.name), getattr(b.grid.profiles, field.name)
+            assert type(got) is type(want) and np.array_equal(got, want), field.name
+        assert np.array_equal(a.attitude_offsets, b.attitude_offsets)
+        assert a.network.lattice == b.network.lattice
+        assert np.array_equal(a.network.tele, b.network.tele)
+        assert a.rng.bit_generator.state == b.rng.bit_generator.state
+        assert (a.demand, a.behaviour_globals, a.tick) == (b.demand, b.behaviour_globals, b.tick)
+
+    def test_batch_equals_runs_built_alone(self, monkeypatch):
+        _, _, jobs = self.jobs()
+        networks = {(config.moore_radius, config.n_tele, key) for config, key in jobs}
+        assert len({key for _, key in jobs}) < len(networks) < len(jobs)
+        batch = experiments._build_states(jobs)
+        alone = [build_state(config, key) for config, key in jobs]
+        for a, b in zip(batch, alone):
+            self.assert_states_equal(a, b)
+        # Joined, with passes of two runs so that a lattice's runs take several.
+        monkeypatch.setattr(dynamics, "_COUNT_PASS_CELLS", 2 * 81)
+        joined, reference = Lockstep(batch), Lockstep(alone)
+        for a, b in zip(batch, alone):
+            self.assert_states_equal(a, b)
+        joined_arrays = (
+            "aft_id", "c_prod", "c_nat", "attitude_offsets", "degree", "neighbour_counts",
+            "class_counts", "tele_src", "tele_dst", "supply", "radius", "lattice_of",
+        )
+        for name in joined_arrays:
+            assert np.array_equal(getattr(joined, name), getattr(reference, name)), name
+        assert joined.params.keys() == reference.params.keys()
+        for name, value in joined.params.items():
+            assert np.array_equal(value, reference.params[name]), name
+        # and each run's neighbour counts are those of its batch of one
+        alone_counts = [Lockstep([build_state(config, key)]).neighbour_counts for config, key in jobs]
+        assert np.array_equal(joined.neighbour_counts, np.concatenate(alone_counts))
+
+    def test_draws_once_per_key_and_network(self, monkeypatch):
+        design, base, jobs = self.jobs(replicates=1)
+        calls = {"generate_capitals": 0, "init_land_use": 0, "add_teleconnections": 0}
+
+        def counted(name):
+            original = getattr(experiments, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(experiments, name, counted(name))
+        evaluate_design(design, base)
+        keys = {key for _, key in jobs}
+        networks = {(key, config.moore_radius, config.n_tele) for config, key in jobs}
+        assert calls == {
+            "generate_capitals": len(keys),
+            "init_land_use": len(keys),
+            "add_teleconnections": len(networks),
+        }
+        assert len(networks) < design.n_rows
 
 
 class TestRunSingle:

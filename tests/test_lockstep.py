@@ -104,6 +104,7 @@ def lockstep_by_lists(states, rule):
     run and tick, and settling decided run by run on the share lists."""
     scheduled = isinstance(rule, AttitudeSchedule)
     batch = Lockstep(states)
+    start = states[0].tick
 
     def follow_schedule(b):
         # In place: each run's attitudes are its view of the batch's.
@@ -140,7 +141,7 @@ def lockstep_by_lists(states, rule):
         now = states[b].tick
         if now >= rule.last_tick:
             return True
-        return not scheduled and now >= rule.window and all(settled(col) for col in shares[b])
+        return not scheduled and now - start >= rule.window and all(settled(col) for col in shares[b])
 
     runs = np.arange(len(states))
     record(runs)
@@ -246,7 +247,7 @@ class TestMixedBatch:
             (StopRule(50, 7, 1.0), 0),
             # one cell of 64 is exactly epsilon, which some windows move by
             (StopRule(200, 8, 1 / 64), 0),
-            # runs that start at tick 12 may settle before window + 1 steps
+            # runs that start at tick 12 settle on window + 1 rows of their own
             (StopRule(200, 20, 0.05), 12),
         ],
     )
@@ -279,7 +280,7 @@ class TestMixedBatch:
             windows = np.lib.stride_tricks.sliding_window_view(shares, rule.window + 1, axis=1)
             assert (np.ptp(windows, axis=2) == rule.epsilon).any()
         if start:
-            assert min(t.n_rows for t in got) <= rule.window
+            assert min(t.n_rows for t in got) == rule.window + 1
 
     def test_batched_ticks_match_the_scalar_api(self):
         # every decision of several consecutive batched ticks, re-derived

@@ -301,6 +301,10 @@ def assert_stencil_equals_csr(lattice: MooreLattice, aft_id: np.ndarray, rng) ->
     counts = lattice.class_counts(aft_id, 3)
     assert counts.dtype == np.int32 and counts.flags.c_contiguous
     assert np.array_equal(counts, class_counts_of(oracle, aft_id))
+    # one row per grid: each row's counts, as one call
+    stacked = lattice.class_counts(np.stack([aft_id, aft_id[::-1]]), 3)
+    assert stacked.flags.c_contiguous
+    assert np.array_equal(stacked, np.stack([counts, class_counts_of(oracle, aft_id[::-1])]))
     cells = rng.integers(n, size=min(n, 50))
     nb, at = lattice.gather(cells)
     assert np.array_equal(nb, np.concatenate([oracle.neighbours(c) for c in cells]))
