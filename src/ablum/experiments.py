@@ -55,10 +55,10 @@ from .sensitivity import (
 # Cells per lockstep batch of a campaign: 160 runs of 25x25 (a whole
 # sobol_screen design) or 9 of 101x101. A run's lattice is held as its shape
 # and the run keeps only its teleconnections, so memory grows with the cells.
-# One network_maps sweep (25 runs of 101x101, one rep) peaked at 72.6 MB of
+# One network_maps sweep (25 runs of 101x101, one rep) peaked at 72.4 MB of
 # resident memory with a budget of 262,144 (the whole sweep in one batch),
-# against 52.4 MB at this budget, and took 1.16 s against 1.24 s, a gain
-# within the machine's noise (2-core Xeon, numpy 2.4, one BLAS thread).
+# against 52.6 MB at this budget, and took 1.05 s against 1.14 s (two fresh
+# processes each, 2-core Xeon, numpy 2.4, one BLAS thread).
 CELL_BUDGET = 100_000
 
 
