@@ -507,8 +507,8 @@ class StopRule:
     The check spans the window+1 most recent rows of the current call, so a
     run that never moves stops exactly window ticks after the call's first
     tick. A run continued from tick t therefore stops where one call from
-    tick 0 stops, whenever that call runs past tick t + window. max_ticks is
-    the last tick, not a count of the call's steps.
+    tick 0 stops whenever that call stops at tick t + window or later.
+    max_ticks is the last tick, not a count of the call's steps.
     """
 
     max_ticks: int = 2000
