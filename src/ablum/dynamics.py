@@ -254,8 +254,8 @@ class Lockstep:
     as of many, so a commit or a schedule updates every run in place and no
     per-cell array is held twice. Commits also keep
     ``class_counts`` (each run's cells per class), ``neighbour_counts`` (each
-    cell's neighbours per class) and ``s_prod``, ``s_nat`` (each cell's
-    sensitivities under its land use) current.
+    cell's neighbours per class, summing to its degree) and ``s_prod``,
+    ``s_nat`` (each cell's sensitivities under its land use) current.
 
     Networks are never copied per run: the batch keeps each distinct lattice
     value once (``lattices``; run b uses ``lattices[lattice_of[b]]``). The
@@ -307,7 +307,6 @@ class Lockstep:
 
         self.lattices = list(dict.fromkeys(net.lattice for net in nets))
         self.lattice_of = np.array([self.lattices.index(net.lattice) for net in nets])
-        self.degree = np.array([lattice.degrees() for lattice in self.lattices])[self.lattice_of].reshape(-1)
         # The lattices differ only in radius: the widest one's stencil, cut
         # to each run's radius, gives every run's neighbours.
         radii = np.array([lattice.radius for lattice in self.lattices])
@@ -328,7 +327,6 @@ class Lockstep:
         src, dst = np.concatenate([lo, hi]), np.concatenate([hi, lo])
         order = np.argsort(src, kind="stable")
         self.tele_src, self.tele_dst = src[order], dst[order]
-        np.add.at(self.degree, src, 1)
         np.add.at(self.neighbour_counts.reshape(-1), src * _N_TYPES + self.aft_id[dst], 1)
         self.class_counts = np.bincount(
             (aft_of_run + _N_TYPES * np.arange(len(grids))[:, None]).reshape(-1),
@@ -441,9 +439,6 @@ def tick(state: SimulationState | Lockstep) -> TickReport:
     sel = batch.select()
     for b in live.tolist():
         batch.states[b].tick += 1
-    if sel.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return TickReport(sel, empty, empty, empty)
 
     benefit = np.repeat(unit_benefit(batch.demand[live], batch.supply[live]), batch.draws, axis=0)
     inc = batch.aft_id[sel]
@@ -471,14 +466,12 @@ def tick(state: SimulationState | Lockstep) -> TickReport:
     }
     delta = INTENSITY[t] - INTENSITY[old]
     intensifying = delta > 0
-    # Each pair's neighbours of every class (rows), kept where the class
-    # conforms: an integer sum, so p is exact.
+    # Each pair's neighbours of every class (rows): those of a conforming
+    # class over all of them, two integer sums, so p is exact.
     classes = np.arange(_N_TYPES)[:, None]
-    conforming = (
-        batch.neighbour_counts.reshape(-1)[cells * _N_TYPES + classes]
-        * _CONFORMING[(classes * _N_TYPES + old) * _N_TYPES + t]
-    ).sum(axis=0)
-    p = conforming / batch.degree[cells]
+    counts = batch.neighbour_counts.reshape(-1)[cells * _N_TYPES + classes]
+    conforming = (counts * _CONFORMING[(classes * _N_TYPES + old) * _N_TYPES + t]).sum(axis=0)
+    p = conforming / counts.sum(axis=0)
     cm = np.where(intensifying, params["cm_int"], params["cm_ext"])
     a_eff = -np.sign(delta) * params["attitude"]
     jump = np.abs(delta)

@@ -11,7 +11,7 @@ so ``S_PROD[grid.aft_id]`` is every cell's productive sensitivity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -101,8 +101,14 @@ class LandscapeGrid:
             arr = getattr(self, name)
             if not np.all((arr >= 0.0) & (arr <= 1.0)):
                 raise ConfigurationError(f"{name} values must lie in [0, 1]")
+        if not np.issubdtype(self.aft_id.dtype, np.integer):
+            raise ConfigurationError(f"aft_id must hold integer type ids, not {self.aft_id.dtype}")
         if np.any(self.aft_id < 0) or np.any(self.aft_id >= len(DEFAULT_AFTS)):
             raise ConfigurationError("aft_id must reference a configured type")
+        for f in fields(self.profiles) if self.profiles is not None else ():
+            value = getattr(self.profiles, f.name)
+            if np.ndim(value) and np.shape(value) != (n,):
+                raise ConfigurationError(f"profile field {f.name} must be a scalar or have shape ({n},)")
 
     @property
     def n_cells(self) -> int:

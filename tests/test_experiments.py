@@ -154,7 +154,7 @@ class TestBatchBuild:
         for a, b in zip(batch, alone):
             self.assert_states_equal(a, b)
         joined_arrays = (
-            "aft_id", "c_prod", "c_nat", "attitude_offsets", "degree", "neighbour_counts",
+            "aft_id", "c_prod", "c_nat", "attitude_offsets", "neighbour_counts",
             "class_counts", "tele_src", "tele_dst", "supply", "radius", "lattice_of",
         )
         for name in joined_arrays:

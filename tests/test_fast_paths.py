@@ -52,7 +52,11 @@ def dense_scores(batch: Lockstep, sel: np.ndarray) -> tuple[np.ndarray, np.ndarr
     u_inc = utilities[inc, np.arange(sel.size)]
 
     counts = batch.neighbour_counts[sel].T
-    deg = batch.degree[sel]
+    # Degrees from each run's network, not from the counts the kernel sums.
+    deg = np.concatenate([
+        s.network.lattice.degrees() + np.bincount(s.network.tele.ravel(), minlength=batch.n_cells)
+        for s in batch.states
+    ])[sel]
     with np.errstate(invalid="ignore"):
         p_ge = (AT_OR_ABOVE @ counts) / deg
         p_le = (AT_OR_BELOW @ counts) / deg

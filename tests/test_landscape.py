@@ -1,5 +1,7 @@
 """Grid, capital fields, land-use seeding, and per-cell production."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from ablum import (
     DEFAULT_AFTS,
     HIGH_INTENSITY,
     MEDIUM_INTENSITY,
+    BehaviouralProfile,
     ConfigurationError,
     LandscapeGrid,
     default_peaks,
@@ -195,3 +198,16 @@ class TestLandscapeGrid:
     def test_unknown_aft_id_rejected(self):
         with pytest.raises(ConfigurationError):
             LandscapeGrid(3, 3, np.zeros(9), np.zeros(9), np.full(9, 7, dtype=np.int64))
+
+    @pytest.mark.parametrize("aft_id", [np.zeros(9), np.full(9, 1.5), np.zeros(9, dtype=bool)])
+    def test_non_integer_aft_id_rejected(self, aft_id):
+        # float type ids would pass the range check and fail later as indices
+        with pytest.raises(ConfigurationError, match="aft_id must hold integer type ids"):
+            LandscapeGrid(3, 3, np.zeros(9), np.zeros(9), aft_id)
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(BehaviouralProfile)])
+    def test_profile_field_of_another_length_rejected(self, name):
+        ids = np.zeros(9, dtype=np.int64)
+        LandscapeGrid(3, 3, np.zeros(9), np.zeros(9), ids, profiles=BehaviouralProfile(**{name: np.zeros(9)}))
+        with pytest.raises(ConfigurationError, match=f"profile field {name} must be a scalar or have shape"):
+            LandscapeGrid(3, 3, np.zeros(9), np.zeros(9), ids, profiles=BehaviouralProfile(**{name: np.zeros(5)}))

@@ -382,14 +382,9 @@ class TestOneCopy:
         self.assert_views(batch)
         assert np.all(batch.params["attitude"] == np.clip(0.6 + batch.attitude_offsets, -1.0, 1.0))
 
-    def test_bytes_per_cell(self):
-        # Nine 25x25 runs with every spread on held 124.6 B/cell once their
-        # batch was built (tracemalloc), about 172 when each run kept its own
-        # capitals, land use and profile arrays beside the batch's copies.
-        cfg = ExperimentConfig(
-            grid_width=25, grid_height=25, n_tele=20, attitude_sigma=0.2, inertia_sigma=0.1,
-            norm_weight_sigma=0.1, cm_int_sigma=0.1, cm_ext_sigma=0.1, git_upper_sigma=0.1,
-        )
+    @staticmethod
+    def held_per_cell(cfg):
+        """Bytes per cell that nine runs of cfg hold once batched (tracemalloc)."""
         Lockstep(build_batch([cfg]))  # first-use caches are not the batch's
         tracemalloc.start()
         try:
@@ -397,7 +392,22 @@ class TestOneCopy:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert held < 130 * batch.offsets[-1]
+        return held / batch.offsets[-1]
+
+    def test_bytes_per_cell(self):
+        # Nine 25x25 runs with every spread on hold 119.5 B/cell; 127.4 with
+        # a stored per-cell degree array, and about 172 when each run kept
+        # its own capitals, land use and profile arrays beside the batch's.
+        cfg = ExperimentConfig(
+            grid_width=25, grid_height=25, n_tele=20, attitude_sigma=0.2, inertia_sigma=0.1,
+            norm_weight_sigma=0.1, cm_int_sigma=0.1, cm_ext_sigma=0.1, git_upper_sigma=0.1,
+        )
+        assert self.held_per_cell(cfg) < 123
+
+    def test_bytes_per_cell_at_workload_size(self):
+        # Nine 101x101 runs at radius 3 with 1,000 teleconnections hold 73.1
+        # B/cell; 81.1 with a stored per-cell degree array.
+        assert self.held_per_cell(ExperimentConfig(moore_radius=3, n_tele=1000)) < 77
 
 
 def choice_replay(config, key, ticks):
