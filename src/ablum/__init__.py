@@ -19,7 +19,6 @@ from .behaviour import (
 )
 from .config import (
     ExperimentConfig,
-    SobolSettings,
     SweepParam,
     SweepSpec,
     apply_values,

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .config import ExperimentConfig, SobolSettings, load_config
+from .config import ExperimentConfig, load_config
 from .errors import ConfigurationError
 from .experiments import (
     parse_run_id,
@@ -58,8 +58,8 @@ _OPTIONS = {
     "--out": dict(type=Path, default=Path("out"), help="output directory"),
     "--reps": dict(type=int, help="override replication count"),
     "--threads": dict(type=int, help="worker pool size (default: ABLUM_THREADS or 1)"),
-    "--n-base": dict(type=int, help="base sample count"),
-    "--second-order": dict(action="store_true", default=None, help="estimate pairwise indices"),
+    "--n-base": dict(type=int, required=True, help="base sample count"),
+    "--second-order": dict(action="store_true", help="estimate pairwise indices"),
     "--map": dict(type=Path, required=True, help="map CSV to read"),
     "--connectivity": dict(type=int, choices=(4, 8), default=4, help="patch adjacency rule"),
 }
@@ -168,16 +168,8 @@ def _cmd_hysteresis(args) -> int:
 
 def _cmd_sobol(args) -> int:
     """Sobol sensitivity campaign."""
-    config = _load(args)
-    if args.n_base is None and config.sobol is None:
-        raise ConfigurationError("sobol command needs --n-base or a [sobol] section")
-    settings = config.sobol or SobolSettings()
     design, outputs, indices = run_sobol(
-        config,
-        settings.n_base if args.n_base is None else args.n_base,
-        second_order=settings.second_order if args.second_order is None else args.second_order,
-        replicates=settings.replicates if args.reps is None else args.reps,
-        threads=args.threads,
+        _load(args), args.n_base, second_order=args.second_order, threads=args.threads
     )
     args.out.mkdir(parents=True, exist_ok=True)
     fileio.write_design_csv(args.out / "design.csv", design)

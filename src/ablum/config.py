@@ -7,8 +7,9 @@ Unknown sections or keys are rejected by name.
 
 Each key is declared once, on its ``ExperimentConfig`` field (see ``key``);
 the parser, validator, serializer and sweepable set derive from the fields.
-The ``[sweep]`` and ``[sobol]`` sections are the fields of ``SweepSpec`` and
-``SobolSettings``.
+The ``[sweep]`` section is the fields of ``SweepSpec``. A Sobol campaign has
+no section: its base sample count and second-order switch are command-line
+flags, and it averages ``[run] replications`` seeds per design row.
 """
 
 import configparser
@@ -84,21 +85,6 @@ class SweepSpec:
             raise ConfigurationError("sweep replications must be >= 1")
 
 
-@dataclass(frozen=True)
-class SobolSettings:
-    n_base: int = 128
-    second_order: bool = False
-    replicates: int = 1
-
-    def __post_init__(self):
-        _number(self, "n_base")
-        _number(self, "replicates")
-        if self.n_base < 1:
-            raise ConfigurationError("n_base must be positive")
-        if self.replicates < 1:
-            raise ConfigurationError("sobol replicates must be >= 1")
-
-
 @dataclass
 class ExperimentConfig:
     """All knobs of one experiment; every field has a sensible default."""
@@ -143,7 +129,6 @@ class ExperimentConfig:
     replications: int = key(1, "run", ">= 1")
 
     sweep: SweepSpec | None = key(None, "sweep")
-    sobol: SobolSettings | None = key(None, "sobol")
 
     def __post_init__(self):
         if self.peaks is None:

@@ -162,8 +162,14 @@ def selection_count(n_cells: int) -> int:
 
 def _share(owners: list, name: str, n_cells: int) -> np.ndarray:
     """Every owner's per-cell ``name`` (a scalar is broadcast), joined along
-    the batch cells; each owner's ``name`` becomes its view of the result."""
+    the batch cells; each owner's ``name`` becomes its view of the result.
+    Every value is checked before any view is rebound."""
     values = [getattr(o, name) for o in owners]
+    for value in values:
+        if np.shape(value) not in ((), (n_cells,)):
+            raise ConfigurationError(
+                f"{name} must be a scalar or have shape ({n_cells},), not {np.shape(value)}"
+            )
     dtype = np.result_type(*{np.asarray(v).dtype for v in values})
     joined = np.empty((len(owners), n_cells), dtype)
     for o, row, value in zip(owners, joined, values):

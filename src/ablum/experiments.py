@@ -10,7 +10,6 @@ Sensitivity rows share the seed of their base sample across Saltelli blocks
 from __future__ import annotations
 
 import itertools
-import numbers
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
@@ -289,20 +288,16 @@ def _design_outputs(config, key, state, trajectory) -> np.ndarray:
 
 
 def evaluate_design(
-    design: SaltelliDesign,
-    base_config: ExperimentConfig,
-    replicates: int = 1,
-    threads: int = 1,
+    design: SaltelliDesign, base_config: ExperimentConfig, *, threads: int = 1
 ) -> np.ndarray:
-    """Model outputs for every design row, averaged over replicate seeds.
+    """Model outputs for every design row, averaged over the base config's
+    ``replications`` seeds.
 
     Returns an (n_rows, 5) array with columns OUTPUT_METRICS. Rows derived
     from the same base sample share their replicate seeds.
     """
-    if not isinstance(replicates, numbers.Integral):
-        raise ConfigurationError(f"replicates must be an integer, got {replicates!r}")
-    if replicates < 1:
-        raise ConfigurationError(f"replicates must be >= 1, got {replicates}")
+    base_config.validate()
+    replicates = base_config.replications
     jobs = []
     for r in range(design.n_rows):
         config = map_sample_to_config(list(design.matrix[r]), design.space, base_config)
@@ -314,15 +309,16 @@ def evaluate_design(
 def run_sobol(
     config: ExperimentConfig,
     n_base: int,
+    *,
     second_order: bool = False,
-    replicates: int = 1,
     space: ParameterSpace | None = None,
     threads: int = 1,
 ) -> tuple[SaltelliDesign, np.ndarray, dict[str, SobolIndices]]:
-    """Full campaign: design, model evaluations, and per-metric indices."""
+    """Full campaign: design, model evaluations (each row averaged over
+    ``config.replications`` seeds), and per-metric indices."""
     space = space if space is not None else default_parameter_space()
     design = saltelli_sample(space, n_base, seed=config.seed, second_order=second_order)
-    outputs = evaluate_design(design, config, replicates=replicates, threads=threads)
+    outputs = evaluate_design(design, config, threads=threads)
     indices = {}
     for m, metric in enumerate(OUTPUT_METRICS):
         try:

@@ -94,7 +94,8 @@ class LandscapeGrid:
             raise ConfigurationError("grid dimensions must be positive")
         n = self.width * self.height
         for name in ("c_prod", "c_nat", "aft_id"):
-            arr = getattr(self, name)
+            arr = np.asarray(getattr(self, name))
+            setattr(self, name, arr)
             if arr.shape != (n,):
                 raise ConfigurationError(f"{name} must have shape ({n},)")
         for name in ("c_prod", "c_nat"):

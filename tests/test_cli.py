@@ -319,15 +319,16 @@ class TestSobol:
         )
         return cfg
 
-    def test_needs_settings(self, tmp_path):
-        assert entry("sobol", "--config", self._cfg(tmp_path), "--out", tmp_path / "o") == 1
+    def test_needs_settings(self, tmp_path, capsys):
+        assert entry("sobol", "--config", self._cfg(tmp_path), "--out", tmp_path / "o") == 2
+        assert "the following arguments are required: --n-base" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_unparseable_setting(self, tmp_path, capsys):
-        cfg = self._cfg(tmp_path, "[sobol]\nn_base = lots\n")
-        assert entry("sobol", "--config", cfg, "--out", tmp_path / "o") == 1
-        assert capsys.readouterr().err == (
-            "error: config key 'n_base': invalid literal for int() with base 10: 'lots'\n"
-        )
+        # the campaign's settings are flags; a [sobol] section is not a config section
+        cfg = self._cfg(tmp_path, "[sobol]\nn_base = 2\n")
+        assert entry("sobol", "--config", cfg, "--n-base", "2", "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == "error: unknown config section [sobol]\n"
 
     def test_writes_design_outputs_indices(self, tmp_path):
         out = tmp_path / "out"
@@ -373,13 +374,26 @@ class TestSobol:
             assert all(v <= top[-1] for name, v in st.items() if name not in dict(ranked))
 
     def test_config_section_and_second_order(self, tmp_path):
-        cfg = self._cfg(tmp_path, "[sobol]\nn_base = 2\nsecond_order = true\n")
         out = tmp_path / "out"
-        assert entry("sobol", "--config", cfg, "--out", out) == 0
+        assert entry("sobol", "--config", self._cfg(tmp_path), "--n-base", "2", "--second-order", "--out", out) == 0
         design = (out / "design.csv").read_text().splitlines()
         assert len(design) == 1 + 2 * 20  # n(2d+2) rows, d=9
         payload = json.loads((out / "indices.json").read_text())
         assert "S2" in payload["share_c"]
+
+    def test_run_replications_are_the_design_replicates(self, tmp_path):
+        # [run] replications sets the seeds averaged per design row, as --reps does
+        outputs = {}
+        for name, extra, flags in (
+            ("one", "", []),
+            ("config", "replications = 2\n", []),
+            ("flag", "", ["--reps", "2"]),
+        ):
+            out = tmp_path / name
+            assert entry("sobol", "--config", self._cfg(tmp_path, extra), "--n-base", "2", "--out", out, *flags) == 0
+            outputs[name] = (out / "outputs.csv").read_bytes()
+        assert outputs["config"] == outputs["flag"]
+        assert outputs["config"] != outputs["one"]
 
 
 class TestLandscape:

@@ -11,7 +11,6 @@ from ablum import (
     AttitudeSchedule,
     ConfigurationError,
     ExperimentConfig,
-    SobolSettings,
     SweepParam,
     SweepSpec,
     apply_values,
@@ -90,11 +89,6 @@ replications = 2
 [sweep]
 params = attitude_mean, -0.8, 0.8, 7; cm, 0.1, 0.9, 5
 replications = 3
-
-[sobol]
-n_base = 64
-second_order = true
-replicates = 2
 """
 
 
@@ -118,7 +112,6 @@ class TestDefaults:
         assert cfg.peaks == default_peaks(101, 101)
         assert cfg.schedule is None
         assert cfg.sweep is None
-        assert cfg.sobol is None
         assert cfg.economic_baseline is False
         assert cfg.replications == 1
 
@@ -365,49 +358,17 @@ class TestSweepParsing:
         )
 
 
-class TestSobolParsing:
-    def test_defaults(self):
-        cfg = loads_config("[sobol]\n")
-        assert cfg.sobol == SobolSettings(n_base=128, second_order=False, replicates=1)
-
-    def test_explicit_values(self):
-        cfg = loads_config("[sobol]\nn_base = 256\nsecond_order = true\nreplicates = 3\n")
-        assert cfg.sobol == SobolSettings(n_base=256, second_order=True, replicates=3)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            loads_config("[sobol]\nn_base = 0\n")
-        with pytest.raises(ConfigurationError):
-            loads_config("[sobol]\nbootstraps = 10\n")
-        with pytest.raises(ConfigurationError):
-            SobolSettings(replicates=0)
-
-    def test_unparseable_values_name_the_key(self):
-        for text, message in (
-            ("n_base = lots", "config key 'n_base': invalid literal for int() with base 10: 'lots'"),
-            ("replicates = two", "config key 'replicates': invalid literal for int() with base 10: 'two'"),
-            ("second_order = perhaps", "config key 'second_order': expected a boolean, got 'perhaps'"),
-        ):
-            with pytest.raises(ConfigurationError) as err:
-                loads_config(f"[sobol]\n{text}\n")
-            assert str(err.value) == message
-
-
 class TestSectionIntegers:
-    """Sweep and Sobol counts follow ExperimentConfig's integer rule when
-    constructed directly, not only when parsed from a file."""
+    """Sweep counts follow ExperimentConfig's integer rule when constructed
+    directly, not only when parsed from a file."""
 
     PARAM = SweepParam("cm", 0.0, 1.0, 3)
     CASES = {
         "steps": lambda v: SweepParam("n_tele", 0, 10, v),
         "replications": lambda v: SweepSpec(params=(TestSectionIntegers.PARAM,), replications=v),
-        "n_base": lambda v: SobolSettings(n_base=v),
-        "replicates": lambda v: SobolSettings(replicates=v),
     }
 
-    @pytest.mark.parametrize(
-        "name, value", [("steps", 2.5), ("replications", 1.5), ("n_base", 8.5), ("replicates", 2.25)]
-    )
+    @pytest.mark.parametrize("name, value", [("steps", 2.5), ("replications", 1.5)])
     def test_non_integral_counts_rejected(self, name, value):
         with pytest.raises(ConfigurationError) as err:
             self.CASES[name](value)
@@ -500,7 +461,7 @@ class TestSerializedBytes:
         "pressure_heatmap": "9d9088c1a06442b46073bbb45d563269dee033c4777a6928216b7912be7de626",
         "regime_map": "de8268ab25a787a3d09381118b7aa0b3745730d860eae17aaf7f5b4e1e19590d",
         "default": "02761bb125c26212fcadafe17c6c1d6552616cdf33e765f5e5a2f5cc685dc200",
-        "customised": "0879ff33ea520df57715b7f3ae43443cb9c49f776892bf8fec6e4488dad05a68",
+        "customised": "047d33cb98dffb2ccb8c46fdacbd2b1e496b759cad15c6caeae7c213296ea068",
     }
 
     @staticmethod

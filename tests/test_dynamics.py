@@ -5,6 +5,7 @@ The vectorised tick is replayed decision-by-decision through the scalar
 behaviour API, so the engine is always checked against an independent route.
 """
 
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -448,6 +449,31 @@ class TestTick:
         with np.errstate(divide="raise", invalid="raise"):
             changed = sum(tick(batch).cells.size for _ in range(5))
         assert changed > 0
+
+    @pytest.mark.parametrize("length", [1, 5])
+    @pytest.mark.parametrize("name", ["attitude_offsets", *(f.name for f in fields(BehaviouralProfile))])
+    def test_per_cell_array_of_another_length_fails_by_name(self, name, length, monkeypatch):
+        # Set after the grid is built, where LandscapeGrid cannot see it: one
+        # value would be broadcast to every cell and five would fail inside
+        # numpy. The batch rejects both by name before it rebinds any run's
+        # array to a view.
+        monkeypatch.setattr(dynamics, "UPDATE_FRACTION", 1.0)
+        config = ExperimentConfig(grid_width=3, grid_height=3)
+        good, bad = (build_state(config, (0, k, 0)) for k in range(2))
+        if name == "attitude_offsets":
+            bad.attitude_offsets = np.zeros(length)
+            owner = good
+        else:
+            good.grid.profiles = BehaviouralProfile(**{name: np.ones(9)})
+            bad.grid.profiles = BehaviouralProfile(**{name: np.zeros(length)})
+            owner = good.grid.profiles
+        before = getattr(owner, name)
+        message = rf"^{name} must be a scalar or have shape \(9,\), not \({length},\)$"
+        with pytest.raises(ConfigurationError, match=message):
+            tick(bad)
+        with pytest.raises(ConfigurationError, match=message):
+            Lockstep([good, bad])
+        assert getattr(owner, name) is before
 
     def test_strict_threshold_replay_guarantee(self):
         # every committed change must have beaten its threshold strictly

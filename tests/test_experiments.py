@@ -372,7 +372,7 @@ class TestDesignEvaluation:
 
     def test_degenerate_metric_named(self, monkeypatch):
         # every output varies except s_nm, the last metric
-        def outputs(design, base_config, replicates=1, threads=1):
+        def outputs(design, base_config, *, threads=1):
             out = np.tile(np.arange(design.n_rows, dtype=float)[:, None], (1, 5))
             out[:, OUTPUT_METRICS.index("s_nm")] = 7.0
             return out
@@ -385,29 +385,48 @@ class TestDesignEvaluation:
             run_sobol(small_config(), n_base=4, space=self._space())
 
     def test_replicates_below_one_rejected(self):
+        # the replicate count is the config's replications, checked by name
         cfg = small_config(epsilon=1.0)
         design = saltelli_sample(self._space(), 2, seed=cfg.seed)
         for replicates in (0, -1):
-            with pytest.raises(ConfigurationError, match=f"^replicates must be >= 1, got {replicates}$"):
-                evaluate_design(design, cfg, replicates=replicates)
-            with pytest.raises(ConfigurationError, match="^replicates must be >= 1"):
-                run_sobol(cfg, n_base=2, replicates=replicates, space=self._space())
+            message = f"^config key 'replications' = {replicates} is out of range, expected >= 1$"
+            with pytest.raises(ConfigurationError, match=message):
+                replace(cfg, replications=replicates)
+            cfg.replications = replicates
+            with pytest.raises(ConfigurationError, match=message):
+                evaluate_design(design, cfg)
+            with pytest.raises(ConfigurationError, match=message):
+                run_sobol(cfg, 2, space=self._space())
 
     def test_non_integral_replicates_rejected(self):
         cfg = small_config(epsilon=1.0)
         design = saltelli_sample(self._space(), 2, seed=cfg.seed)
-        with pytest.raises(ConfigurationError, match=r"^replicates must be an integer, got 2\.0$"):
-            evaluate_design(design, cfg, replicates=2.0)
-        with pytest.raises(ConfigurationError, match=r"^replicates must be an integer, got 2\.0$"):
-            run_sobol(cfg, n_base=2, replicates=2.0, space=self._space())
+        message = r"^config key 'replications' = 2\.5 is not an integer$"
+        with pytest.raises(ConfigurationError, match=message):
+            ExperimentConfig(replications=2.5)
+        cfg.replications = 2.5
+        with pytest.raises(ConfigurationError, match=message):
+            evaluate_design(design, cfg)
+        with pytest.raises(ConfigurationError, match=message):
+            run_sobol(cfg, 2, space=self._space())
 
     def test_replicate_averaging(self):
         cfg = small_config(epsilon=1.0)
         design = saltelli_sample(self._space(), 2, seed=cfg.seed)
-        one = evaluate_design(design, cfg, replicates=1)
-        two = evaluate_design(design, cfg, replicates=2)
+        one = evaluate_design(design, cfg)
+        two = evaluate_design(design, replace(cfg, replications=2))
         assert one.shape == two.shape
         assert not np.array_equal(one, two)
+
+    def test_stale_positional_replicate_count_raises(self):
+        # every argument after the base config is keyword-only, so a count
+        # passed where replicates used to go is not taken as threads
+        cfg = small_config(epsilon=1.0)
+        design = saltelli_sample(self._space(), 2, seed=cfg.seed)
+        with pytest.raises(TypeError):
+            evaluate_design(design, cfg, 2)
+        with pytest.raises(TypeError):
+            run_sobol(cfg, 2, True)
 
 
 class TestRecomputeMetrics:

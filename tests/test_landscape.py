@@ -14,6 +14,7 @@ from ablum import (
     HIGH_INTENSITY,
     MEDIUM_INTENSITY,
     BehaviouralProfile,
+    Cell,
     ConfigurationError,
     LandscapeGrid,
     default_peaks,
@@ -211,3 +212,20 @@ class TestLandscapeGrid:
         LandscapeGrid(3, 3, np.zeros(9), np.zeros(9), ids, profiles=BehaviouralProfile(**{name: np.zeros(9)}))
         with pytest.raises(ConfigurationError, match=f"profile field {name} must be a scalar or have shape"):
             LandscapeGrid(3, 3, np.zeros(9), np.zeros(9), ids, profiles=BehaviouralProfile(**{name: np.zeros(5)}))
+
+    def test_plain_sequences_become_arrays(self):
+        grid = LandscapeGrid(3, 3, [0.0] * 9, [0.5] * 9, [0, 1, 2] * 3)
+        assert grid.c_prod.dtype == grid.c_nat.dtype == np.float64
+        assert np.issubdtype(grid.aft_id.dtype, np.integer)
+        assert grid.cell(4) == Cell(1, 1, 0.0, 0.5, 1)
+        assert total_supply(grid) == total_supply(
+            LandscapeGrid(3, 3, np.zeros(9), np.full(9, 0.5), np.tile(np.arange(3), 3))
+        )
+        # an array is kept as it is, not copied: batches and shared run
+        # inputs rely on holding the same memory
+        capital = np.zeros(9)
+        assert LandscapeGrid(3, 3, capital, capital, np.zeros(9, dtype=np.int64)).c_prod is capital
+
+    def test_plain_sequence_of_float_ids_fails_by_name(self):
+        with pytest.raises(ConfigurationError, match="^aft_id must hold integer type ids, not float64$"):
+            LandscapeGrid(3, 3, [0.0] * 9, [0.0] * 9, [0.5] * 9)

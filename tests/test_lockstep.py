@@ -613,7 +613,7 @@ class TestCampaignBatches:
         )
         design = saltelli_sample(space, 2, seed=4)
         for replicates in (2, 3):
-            outputs = evaluate_design(design, base, replicates=replicates)
+            outputs = evaluate_design(design, replace(base, replications=replicates))
             for r in range(design.n_rows):
                 cfg = experiments.map_sample_to_config(list(design.matrix[r]), space, base)
                 acc = np.zeros(5)

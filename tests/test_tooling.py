@@ -7,8 +7,9 @@ fails if a tick stops calling the wrapped threshold kernels, or calls them
 on other pairs than the ones whose surplus is positive. The README
 tests catch a quick-start command or a named file that no longer exists, a
 flag table that no longer lists exactly the flags each command takes, a
-sweepable-key list, a batch budget or a draw-ahead span that no longer
-matches the code's, or a package layout that does not list exactly the
+sweepable-key list, a list of config sections or an example section
+header, a batch budget or a draw-ahead span that no longer matches the
+code's, or a package layout that does not list exactly the
 package's modules. The import guard fails if importing ablum, running
 `ablum run`, building a Saltelli design or running a Sobol campaign loads
 scipy, which ablum does not depend on; the dependency guard fails if the
@@ -47,6 +48,7 @@ README = (REPO / "README.md").read_text()
 QUICK_START = README.split("## Quick start", 1)[1].split("\n## ", 1)[0]
 PERFORMANCE = README.split("## Performance", 1)[1].split("\n## ", 1)[0]
 LAYOUT = README.split("## Package layout", 1)[1].split("\n## ", 1)[0]
+CONFIGURATION = README.split("## Configuration", 1)[1].split("\n## ", 1)[0]
 
 
 def test_every_traced_attribute_exists(monkeypatch):
@@ -123,6 +125,14 @@ def test_readme_sweepable_keys_match_the_code():
     assert tuple(re.findall(r"`(\w+)`", keys)) == config.NUMERIC_KEYS
     (alias,) = re.findall(r"plus the alias `(\w+)`", README)
     assert alias == config.CM_ALIAS
+
+
+def test_readme_config_sections_match_the_code():
+    (listed,) = re.findall(r"INI text with sections (.*?)\. ", CONFIGURATION, re.S)
+    assert tuple(re.findall(r"`\[(\w+)\]`", listed)) == tuple(config._SECTIONS)
+    (example,) = re.findall(r"```\n(.*?)```", CONFIGURATION, re.S)
+    headers = re.findall(r"^\[(\w+)\]$", example, re.M)
+    assert headers and set(headers) <= set(config._SECTIONS)
 
 
 def test_readme_cell_budget_matches_the_code():
